@@ -10,13 +10,11 @@
 #   make engine-smoke engine matrix: spice vs tiered must emit identical bytes
 #   make cluster-smoke  3-node cluster batch must be byte-identical to one node
 #   make loadgen-smoke  short load-generator run; fails on any dropped request
-#   make yield-smoke  yield estimate: local, cluster shards and daemon job
-#                     must be byte-identical; /metrics counters checked
-#   make faultmap-smoke  1000-map corpus: worker counts, corpus dump,
-#                     cluster shards and daemon job must be byte-identical
-#   make noise-smoke  EXP-NS flip-probability scan: static-vs-noise
-#                     divergence gate on the near-DRV cell; worker counts,
-#                     cluster shards and daemon job must be byte-identical
+#   make yield-smoke, make faultmap-smoke, make noise-smoke
+#                     scripts/estimate-smoke.sh KIND: worker counts, cluster
+#                     shards and daemon job must be byte-identical; /metrics
+#                     counters checked; plus faultmap's corpus-dump regen and
+#                     noise's static-vs-noise divergence gate
 
 GO ?= go
 
@@ -69,10 +67,10 @@ loadgen-smoke:
 	sh scripts/loadgen-smoke.sh
 
 yield-smoke:
-	sh scripts/yield-smoke.sh
+	sh scripts/estimate-smoke.sh yield
 
 faultmap-smoke:
-	sh scripts/faultmap-smoke.sh
+	sh scripts/estimate-smoke.sh faultmap
 
 noise-smoke:
-	sh scripts/noise-smoke.sh
+	sh scripts/estimate-smoke.sh noise

@@ -20,13 +20,11 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -85,8 +83,7 @@ func main() {
 			res, err = faultmap.Estimate(context.Background(), p)
 		}
 		if err == nil {
-			emit(faultmap.Summary(res), *csv)
-			emit(faultmap.Coverage(res), *csv)
+			err = report.Emit(os.Stdout, *csv, faultmap.Summary(res), faultmap.Coverage(res))
 		}
 	}
 	if err != nil {
@@ -144,19 +141,6 @@ func parseTests(s string) ([]march.Test, error) {
 	return out, nil
 }
 
-func emit(t *report.Table, csv bool) {
-	var err error
-	if csv {
-		err = t.WriteCSV(os.Stdout)
-	} else {
-		err = t.Write(os.Stdout)
-	}
-	if err != nil {
-		fail(err)
-	}
-	fmt.Println()
-}
-
 // dumpCorpus streams the corpus as map-per-line JSON — the raw artifact
 // for external tooling. The bytes are a pure function of the params:
 // regenerating with the same seed reproduces the stream exactly.
@@ -197,8 +181,7 @@ func railCurve(p faultmap.Params, rails string, csv bool) error {
 		}
 		rows = append(rows, res)
 	}
-	emit(faultmap.RailCurve(rows), csv)
-	return nil
+	return report.Emit(os.Stdout, csv, faultmap.RailCurve(rows))
 }
 
 // clusterEstimate fans K shard jobs out through the batch endpoint and
@@ -206,9 +189,6 @@ func railCurve(p faultmap.Params, rails string, csv bool) error {
 // merged result is byte-identical to a local single-shard run with the
 // same parameters — the cluster only changes where the evaluation runs.
 func clusterEstimate(target string, shards int, p faultmap.Params, vdd float64) (faultmap.Result, error) {
-	if shards < 2 {
-		return faultmap.Result{}, fmt.Errorf("-shards must be >= 2 in cluster mode (one shard is a plain job)")
-	}
 	if vdd != 1.1 {
 		return faultmap.Result{}, fmt.Errorf("cluster jobs pin the fixed Monte-Carlo condition; -vdd applies to local runs only")
 	}
@@ -220,53 +200,11 @@ func clusterEstimate(target string, shards int, p faultmap.Params, vdd float64) 
 	if len(p.Random) > 0 {
 		randomOps = p.Random[0].Ops
 	}
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for s := 0; s < shards; s++ {
-		spec := jobs.Spec{Kind: jobs.KindFaultMap, FaultMap: &jobs.FaultMapSpec{
+	return cluster.FanOutShards(target, shards, func(s int) jobs.Spec {
+		return jobs.Spec{Kind: jobs.KindFaultMap, FaultMap: &jobs.FaultMapSpec{
 			Maps: p.Maps, Seed: p.Seed, Vref: p.Vref, Defect: p.Defect,
 			Tests: names, RandomOps: randomOps, BIST: p.Engine == faultmap.EngineBIST,
 			Shards: shards, Shard: s,
 		}}
-		if err := enc.Encode(spec); err != nil {
-			return faultmap.Result{}, err
-		}
-	}
-	resp, err := http.Post(target+"/v1/batch", "application/x-ndjson", &body)
-	if err != nil {
-		return faultmap.Result{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return faultmap.Result{}, fmt.Errorf("batch: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
-	}
-	parts := make([]faultmap.Partial, shards)
-	seen := make([]bool, shards)
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var br cluster.BatchResult
-		if err := dec.Decode(&br); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return faultmap.Result{}, fmt.Errorf("batch stream: %w", err)
-		}
-		if br.Index < 0 || br.Index >= shards || seen[br.Index] {
-			return faultmap.Result{}, fmt.Errorf("batch stream: unexpected result index %d", br.Index)
-		}
-		if br.State != cluster.BatchStateDone {
-			return faultmap.Result{}, fmt.Errorf("shard %d: %s", br.Index, br.Error)
-		}
-		if err := json.Unmarshal(br.Result, &parts[br.Index]); err != nil {
-			return faultmap.Result{}, fmt.Errorf("shard %d: bad partial: %w", br.Index, err)
-		}
-		seen[br.Index] = true
-	}
-	for s, ok := range seen {
-		if !ok {
-			return faultmap.Result{}, fmt.Errorf("batch stream ended without shard %d", s)
-		}
-	}
-	return faultmap.MergePartials(parts)
+	}, faultmap.MergePartials)
 }

@@ -19,15 +19,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"strings"
 
 	"sramtest/internal/cli"
 	"sramtest/internal/cluster"
@@ -83,26 +78,13 @@ func main() {
 	} else {
 		res, err = noisescan.Scan(context.Background(), p)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noisescan:", err)
-		os.Exit(1)
-	}
-	emit(noisescan.Summary(res), *csv)
-	emit(noisescan.Curve(res), *csv)
-}
-
-func emit(t *report.Table, csv bool) {
-	var err error
-	if csv {
-		err = t.WriteCSV(os.Stdout)
-	} else {
-		err = t.Write(os.Stdout)
+	if err == nil {
+		err = report.Emit(os.Stdout, *csv, noisescan.Summary(res), noisescan.Curve(res))
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "noisescan:", err)
 		os.Exit(1)
 	}
-	fmt.Println()
 }
 
 // clusterScan fans K shard jobs out through the batch endpoint and
@@ -111,13 +93,8 @@ func emit(t *report.Table, csv bool) {
 // the merged result is byte-identical to a local single-shard run with
 // the same parameters — the cluster only changes where the solves run.
 func clusterScan(target string, shards int, p noisescan.Params) (noisescan.Result, error) {
-	if shards < 2 {
-		return noisescan.Result{}, fmt.Errorf("-shards must be >= 2 in cluster mode (one shard is a plain job)")
-	}
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for s := 0; s < shards; s++ {
-		spec := jobs.Spec{
+	return cluster.FanOutShards(target, shards, func(s int) jobs.Spec {
+		return jobs.Spec{
 			Kind: jobs.KindNoiseScan,
 			NoiseScan: &jobs.NoiseScanSpec{
 				CaseStudy: p.CaseStudy, Points: p.Points,
@@ -131,45 +108,5 @@ func clusterScan(target string, shards int, p noisescan.Params) (noisescan.Resul
 				MaxTighten: p.Noise.MaxTighten, Seed: p.Noise.Seed,
 			},
 		}
-		if err := enc.Encode(spec); err != nil {
-			return noisescan.Result{}, err
-		}
-	}
-	resp, err := http.Post(target+"/v1/batch", "application/x-ndjson", &body)
-	if err != nil {
-		return noisescan.Result{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return noisescan.Result{}, fmt.Errorf("batch: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
-	}
-	parts := make([]noisescan.Partial, shards)
-	seen := make([]bool, shards)
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var br cluster.BatchResult
-		if err := dec.Decode(&br); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return noisescan.Result{}, fmt.Errorf("batch stream: %w", err)
-		}
-		if br.Index < 0 || br.Index >= shards || seen[br.Index] {
-			return noisescan.Result{}, fmt.Errorf("batch stream: unexpected result index %d", br.Index)
-		}
-		if br.State != cluster.BatchStateDone {
-			return noisescan.Result{}, fmt.Errorf("shard %d: %s", br.Index, br.Error)
-		}
-		if err := json.Unmarshal(br.Result, &parts[br.Index]); err != nil {
-			return noisescan.Result{}, fmt.Errorf("shard %d: bad partial: %w", br.Index, err)
-		}
-		seen[br.Index] = true
-	}
-	for s, ok := range seen {
-		if !ok {
-			return noisescan.Result{}, fmt.Errorf("batch stream ended without shard %d", s)
-		}
-	}
-	return noisescan.MergePartials(parts)
+	}, noisescan.MergePartials)
 }

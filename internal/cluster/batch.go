@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 
 	"sramtest/internal/jobs"
 )
@@ -114,4 +115,77 @@ func (bw *BatchWriter) Write(res BatchResult) error {
 		bw.f.Flush()
 	}
 	return nil
+}
+
+// FanOut posts specs as one NDJSON batch to target's POST /v1/batch (a
+// node or a coordinator) and returns each spec's result bytes in spec
+// order. A failed line, a missing, duplicate or out-of-range result
+// index, and a non-200 status are all errors: callers merge the results
+// as shard partials, so a short or ambiguous set must never pass.
+func FanOut(target string, specs []jobs.Spec) ([][]byte, error) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, spec := range specs {
+		if err := enc.Encode(spec); err != nil {
+			return nil, err
+		}
+	}
+	resp, err := http.Post(target+"/v1/batch", "application/x-ndjson", &body)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return nil, fmt.Errorf("batch: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
+	}
+	out := make([][]byte, len(specs))
+	seen := make([]bool, len(specs))
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var br BatchResult
+		if err := dec.Decode(&br); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("batch stream: %w", err)
+		}
+		if br.Index < 0 || br.Index >= len(specs) || seen[br.Index] {
+			return nil, fmt.Errorf("batch stream: unexpected result index %d", br.Index)
+		}
+		if br.State != BatchStateDone {
+			return nil, fmt.Errorf("shard %d: %s", br.Index, br.Error)
+		}
+		out[br.Index], seen[br.Index] = br.Result, true
+	}
+	for i, ok := range seen {
+		if !ok {
+			return nil, fmt.Errorf("batch stream ended without shard %d", i)
+		}
+	}
+	return out, nil
+}
+
+// FanOutShards runs one sharded estimate through FanOut: shard s of k
+// is the job spec(s), each shard's result decodes as a partial P, and
+// merge reassembles the partials into the estimate.
+func FanOutShards[P, R any](target string, k int, spec func(s int) jobs.Spec, merge func([]P) (R, error)) (R, error) {
+	var zero R
+	if k < 2 {
+		return zero, fmt.Errorf("cluster mode needs >= 2 shards, got %d (one shard is a plain job)", k)
+	}
+	specs := make([]jobs.Spec, k)
+	for s := range specs {
+		specs[s] = spec(s)
+	}
+	results, err := FanOut(target, specs)
+	if err != nil {
+		return zero, err
+	}
+	parts := make([]P, k)
+	for s, b := range results {
+		if err := json.Unmarshal(b, &parts[s]); err != nil {
+			return zero, fmt.Errorf("shard %d: bad partial: %w", s, err)
+		}
+	}
+	return merge(parts)
 }

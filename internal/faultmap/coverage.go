@@ -59,39 +59,25 @@ func runChunk(g *Generator, names []string, c int) (ChunkStat, error) {
 	return st, nil
 }
 
-// shardChunks lists the chunk indices owned by p's shard, in order.
-func shardChunks(p Params) []int {
-	total := (p.Maps + MapChunk - 1) / MapChunk
-	out := make([]int, 0, total/p.Shards+1)
-	for c := p.Shard; c < total; c += p.Shards {
-		out = append(out, c)
-	}
-	return out
-}
-
-// run is the shared engine: calibrate, fan the shard's chunks over the
-// sweep engine, and either finalize (full corpus) or export the
-// partial.
-func run(ctx context.Context, p Params) (Result, Partial, error) {
+// run is the shared engine: calibrate and fan the chunks p's shard
+// owns over the sweep engine.
+func run(ctx context.Context, p Params) (Partial, error) {
 	g, err := NewGenerator(p)
 	if err != nil {
-		return Result{}, Partial{}, err
+		return Partial{}, err
 	}
 	p = g.Params()
 	names, err := p.testNames()
 	if err != nil {
-		return Result{}, Partial{}, err
+		return Partial{}, err
 	}
-
-	idx := shardChunks(p)
-	chunks, err := sweep.MapCtx(ctx, len(idx), func(i int) (ChunkStat, error) {
-		return runChunk(g, names, idx[i])
+	chunks, err := sweep.MapOwned(ctx, (p.Maps+MapChunk-1)/MapChunk, p.Shards, p.Shard, func(c int) (ChunkStat, error) {
+		return runChunk(g, names, c)
 	}, sweep.Workers(p.Workers))
 	if err != nil {
-		return Result{}, Partial{}, err
+		return Partial{}, err
 	}
-
-	part := Partial{
+	return Partial{
 		Version: PartialVersion,
 		Cond:    p.Cond,
 		Vref:    p.Vref,
@@ -104,30 +90,36 @@ func run(ctx context.Context, p Params) (Result, Partial, error) {
 		Shard:   p.Shard,
 		Calib:   g.Calib(),
 		Chunks:  chunks,
+	}, nil
+}
+
+// Estimate runs the full corpus evaluation; Params.Shards > 1 is an
+// error.
+func Estimate(ctx context.Context, p Params) (Result, error) {
+	if err := sweep.CheckWhole(p.Shards); err != nil {
+		return Result{}, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
-	if p.Shards > 1 {
-		countPartial(part)
-		return Result{}, part, nil
+	part, err := run(ctx, p)
+	if err != nil {
+		return Result{}, err
 	}
 	res := finalize(part)
 	countRun(res)
-	return res, part, nil
-}
-
-// Estimate runs the full corpus evaluation (Params.Shards <= 1).
-func Estimate(ctx context.Context, p Params) (Result, error) {
-	if p.Shards > 1 {
-		return Result{}, fmt.Errorf("%w: Estimate needs Shards <= 1 (use ShardPartial + MergePartials)", ErrBadParams)
-	}
-	res, _, err := run(ctx, p)
-	return res, err
+	return res, nil
 }
 
 // ShardPartial runs only this shard's chunks and returns the mergeable
-// statistics (see MergePartials).
+// statistics (see MergePartials); Params.Shards <= 1 is an error.
 func ShardPartial(ctx context.Context, p Params) (Partial, error) {
-	_, part, err := run(ctx, p)
-	return part, err
+	if err := sweep.CheckShard(p.Shards, p.Shard); err != nil {
+		return Partial{}, fmt.Errorf("%w: %v", ErrBadParams, err)
+	}
+	part, err := run(ctx, p)
+	if err != nil {
+		return Partial{}, err
+	}
+	countPartial(part)
+	return part, nil
 }
 
 // TestCoverage is one test's corpus-level coverage in a Result.

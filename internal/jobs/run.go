@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"sramtest/internal/charac"
 	"sramtest/internal/diag"
@@ -19,6 +18,7 @@ import (
 	"sramtest/internal/noisescan"
 	"sramtest/internal/process"
 	"sramtest/internal/regulator"
+	"sramtest/internal/report"
 	"sramtest/internal/testflow"
 	"sramtest/internal/yield"
 )
@@ -114,22 +114,7 @@ func runNoiseScan(ctx context.Context, spec Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	for _, t := range []interface {
-		Write(w io.Writer) error
-		WriteCSV(w io.Writer) error
-	}{noisescan.Summary(res), noisescan.Curve(res)} {
-		if spec.CSV {
-			err = t.WriteCSV(&buf)
-		} else {
-			err = t.Write(&buf)
-		}
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintln(&buf) // match cmd/noisescan's blank line after each table
-	}
-	return buf.Bytes(), nil
+	return emit(spec.CSV, noisescan.Summary(res), noisescan.Curve(res))
 }
 
 // runFaultMap generates the correlated fault-map corpus at the fixed
@@ -185,22 +170,7 @@ func runFaultMap(ctx context.Context, spec Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	for _, t := range []interface {
-		Write(w io.Writer) error
-		WriteCSV(w io.Writer) error
-	}{faultmap.Summary(res), faultmap.Coverage(res)} {
-		if spec.CSV {
-			err = t.WriteCSV(&buf)
-		} else {
-			err = t.Write(&buf)
-		}
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintln(&buf) // match cmd/faultmap's blank line after each table
-	}
-	return buf.Bytes(), nil
+	return emit(spec.CSV, faultmap.Summary(res), faultmap.Coverage(res))
 }
 
 // runYield estimates the rare-event retention yield at the fixed
@@ -244,18 +214,7 @@ func runYield(ctx context.Context, spec Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	t := yield.Report(res)
-	if spec.CSV {
-		err = t.WriteCSV(&buf)
-	} else {
-		err = t.Write(&buf)
-	}
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintln(&buf) // match cmd/yield's trailing blank line
-	return buf.Bytes(), nil
+	return emit(spec.CSV, yield.Report(res))
 }
 
 // runDiag builds the fault dictionary; the job bytes are the versioned
@@ -326,18 +285,7 @@ func runExp(ctx context.Context, spec Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	t := exp.MonteCarloReport(res, exp.NewWorstDRVForTest(mcCondition))
-	if spec.CSV {
-		err = t.WriteCSV(&buf)
-	} else {
-		err = t.Write(&buf)
-	}
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintln(&buf) // drv's emit() prints a blank line after the table
-	return buf.Bytes(), nil
+	return emit(spec.CSV, exp.MonteCarloReport(res, exp.NewWorstDRVForTest(mcCondition)))
 }
 
 func runTestFlow(ctx context.Context, spec Spec, eng engine.Engine) ([]byte, error) {
@@ -378,6 +326,16 @@ func runTestFlow(ctx context.Context, spec Spec, eng engine.Engine) ([]byte, err
 		fmt.Fprintln(&buf)
 	}
 	if err := exp.WriteTestTime(&buf, exp.TestTime(flow)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// emit renders tables exactly as the matching CLI prints them
+// (report.Emit), so a job's bytes equal the CLI run's.
+func emit(csv bool, tables ...*report.Table) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := report.Emit(&buf, csv, tables...); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

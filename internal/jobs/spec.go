@@ -460,15 +460,8 @@ func (s Spec) Normalize() (Spec, error) {
 		if y.Method == "" {
 			y.Method = yield.MethodIS
 		}
-		if y.Shards <= 1 {
-			y.Shards, y.Shard = 0, 0
-		} else {
-			if y.Shard < 0 || y.Shard >= y.Shards {
-				return Spec{}, fmt.Errorf("%w: yield.shard = %d not in [0, %d)", ErrBadSpec, y.Shard, y.Shards)
-			}
-			if s.CSV {
-				return Spec{}, fmt.Errorf("%w: sharded yield jobs emit a JSON partial, csv does not apply", ErrBadSpec)
-			}
+		if err := normalizeShard(s.Kind, &y.Shards, &y.Shard, s.CSV); err != nil {
+			return Spec{}, err
 		}
 		out.Yield = &y
 	case KindFaultMap:
@@ -509,15 +502,8 @@ func (s Spec) Normalize() (Spec, error) {
 		if fm.RandomOps < 0 || fm.RandomOps > maxRandomOps {
 			return Spec{}, fmt.Errorf("%w: faultmap.randomOps = %d not in [0, %d]", ErrBadSpec, fm.RandomOps, maxRandomOps)
 		}
-		if fm.Shards <= 1 {
-			fm.Shards, fm.Shard = 0, 0
-		} else {
-			if fm.Shard < 0 || fm.Shard >= fm.Shards {
-				return Spec{}, fmt.Errorf("%w: faultmap.shard = %d not in [0, %d)", ErrBadSpec, fm.Shard, fm.Shards)
-			}
-			if s.CSV {
-				return Spec{}, fmt.Errorf("%w: sharded faultmap jobs emit a JSON partial, csv does not apply", ErrBadSpec)
-			}
+		if err := normalizeShard(s.Kind, &fm.Shards, &fm.Shard, s.CSV); err != nil {
+			return Spec{}, err
 		}
 		out.FaultMap = &fm
 	case KindNoiseScan:
@@ -549,21 +535,31 @@ func (s Spec) Normalize() (Spec, error) {
 		if ns.Below < 0 || ns.Above < 0 {
 			return Spec{}, fmt.Errorf("%w: noisescan range −%g/+%g V, want >= 0", ErrBadSpec, ns.Below, ns.Above)
 		}
-		if ns.Shards <= 1 {
-			ns.Shards, ns.Shard = 0, 0
-		} else {
-			if ns.Shard < 0 || ns.Shard >= ns.Shards {
-				return Spec{}, fmt.Errorf("%w: noisescan.shard = %d not in [0, %d)", ErrBadSpec, ns.Shard, ns.Shards)
-			}
-			if s.CSV {
-				return Spec{}, fmt.Errorf("%w: sharded noisescan jobs emit a JSON partial, csv does not apply", ErrBadSpec)
-			}
+		if err := normalizeShard(s.Kind, &ns.Shards, &ns.Shard, s.CSV); err != nil {
+			return Spec{}, err
 		}
 		out.NoiseScan = &ns
 	default:
 		return Spec{}, fmt.Errorf("%w: unknown kind %q", ErrBadSpec, s.Kind)
 	}
 	return out, nil
+}
+
+// normalizeShard folds a whole-run shard selector (shards <= 1) to the
+// omitted form and validates a shard job's: shard in [0, shards), and
+// no CSV, because a shard job emits a JSON partial.
+func normalizeShard(kind Kind, shards, shard *int, csv bool) error {
+	if *shards <= 1 {
+		*shards, *shard = 0, 0
+		return nil
+	}
+	if *shard < 0 || *shard >= *shards {
+		return fmt.Errorf("%w: %s.shard = %d not in [0, %d)", ErrBadSpec, kind, *shard, *shards)
+	}
+	if csv {
+		return fmt.Errorf("%w: sharded %s jobs emit a JSON partial, csv does not apply", ErrBadSpec, kind)
+	}
+	return nil
 }
 
 // normalizeDefects validates, sorts and dedupes a defect list; empty

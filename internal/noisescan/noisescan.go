@@ -118,9 +118,6 @@ func (p Params) withDefaults() (Params, error) {
 	if p.Shards <= 1 {
 		p.Shards, p.Shard = 1, 0
 	}
-	if p.Shard < 0 || p.Shard >= p.Shards {
-		return p, fmt.Errorf("%w: shard %d not in [0, %d)", ErrBadParams, p.Shard, p.Shards)
-	}
 	return p, nil
 }
 

@@ -2,6 +2,7 @@ package noisescan
 
 import (
 	"context"
+	"fmt"
 
 	"sramtest/internal/engine"
 	"sramtest/internal/spice"
@@ -49,22 +50,12 @@ func runPoint(p Params, static float64, i int) (PointStat, error) {
 	return st, nil
 }
 
-// shardPoints lists the point indices owned by p's shard, in order.
-func shardPoints(p Params) []int {
-	out := make([]int, 0, p.Points/p.Shards+1)
-	for i := p.Shard; i < p.Points; i += p.Shards {
-		out = append(out, i)
-	}
-	return out
-}
-
-// run executes the shared scan engine: calibrate the thresholds, fan
-// the shard's points over the sweep engine, and either finalize (full
-// scan) or export the partial.
-func run(ctx context.Context, p Params) (Result, Partial, error) {
+// run executes the shared scan engine: calibrate the thresholds and
+// fan the points p's shard owns over the sweep engine.
+func run(ctx context.Context, p Params) (Partial, error) {
 	p, err := p.withDefaults()
 	if err != nil {
-		return Result{}, Partial{}, err
+		return Partial{}, err
 	}
 	cs := p.caseStudy()
 	// Both thresholds are pure, deterministic functions of the params,
@@ -76,15 +67,13 @@ func run(ctx context.Context, p Params) (Result, Partial, error) {
 	}
 	cal.EffDRV = engine.EffectiveDRV1(cs.Variation, p.Cond, p.Noise, spice.DefaultOptions())
 
-	idx := shardPoints(p)
-	stats, err := sweep.MapCtx(ctx, len(idx), func(i int) (PointStat, error) {
-		return runPoint(p, cal.StaticDRV, idx[i])
+	stats, err := sweep.MapOwned(ctx, p.Points, p.Shards, p.Shard, func(i int) (PointStat, error) {
+		return runPoint(p, cal.StaticDRV, i)
 	}, sweep.Workers(p.Workers))
 	if err != nil {
-		return Result{}, Partial{}, err
+		return Partial{}, err
 	}
-
-	part := Partial{
+	return Partial{
 		Version:   PartialVersion,
 		CaseStudy: p.CaseStudy,
 		Cond:      p.Cond,
@@ -96,30 +85,36 @@ func run(ctx context.Context, p Params) (Result, Partial, error) {
 		Shard:     p.Shard,
 		Calib:     cal,
 		Stats:     stats,
+	}, nil
+}
+
+// Scan runs the whole flip-probability scan; Params.Shards > 1 is an
+// error.
+func Scan(ctx context.Context, p Params) (Result, error) {
+	if err := sweep.CheckWhole(p.Shards); err != nil {
+		return Result{}, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
-	if p.Shards > 1 {
-		countPartial(part)
-		return Result{}, part, nil
+	part, err := run(ctx, p)
+	if err != nil {
+		return Result{}, err
 	}
 	res := finalize(part)
 	countScan(res)
-	return res, part, nil
-}
-
-// Scan runs the whole flip-probability scan (Params.Shards <= 1).
-func Scan(ctx context.Context, p Params) (Result, error) {
-	res, _, err := run(ctx, p)
-	return res, err
+	return res, nil
 }
 
 // ShardPartial runs only this shard's points and returns the mergeable
-// raw tallies (see MergePartials).
+// raw tallies (see MergePartials); Params.Shards <= 1 is an error.
 func ShardPartial(ctx context.Context, p Params) (Partial, error) {
-	if p.Shards <= 1 {
-		return Partial{}, ErrBadParams
+	if err := sweep.CheckShard(p.Shards, p.Shard); err != nil {
+		return Partial{}, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
-	_, part, err := run(ctx, p)
-	return part, err
+	part, err := run(ctx, p)
+	if err != nil {
+		return Partial{}, err
+	}
+	countPartial(part)
+	return part, nil
 }
 
 // finalize reduces the point tallies — strictly in point order — to the

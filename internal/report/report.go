@@ -102,6 +102,25 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return nil
 }
 
+// Emit writes each table — as CSV when csv is set, else aligned — and a
+// blank line after it: the layout a CLI report and the daemon job that
+// reproduces it share byte for byte.
+func Emit(w io.Writer, csv bool, tables ...*Table) error {
+	for _, t := range tables {
+		write := t.Write
+		if csv {
+			write = t.WriteCSV
+		}
+		if err := write(w); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // String renders the table to a string.
 func (t *Table) String() string {
 	var b strings.Builder

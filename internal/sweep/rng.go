@@ -1,12 +1,16 @@
 package sweep
 
 // ChunkSeed derives the RNG seed of one sampling chunk from a master
-// seed. It is the sharded-RNG convention shared by every sampling
-// workload (exp.MonteCarlo, internal/yield): samples are drawn in fixed
-// chunks, chunk c seeds its own rand.Source with ChunkSeed(seed, c),
-// and workers claim whole chunks — so the sampled multiset is a pure
-// function of (n, seed) at any worker count, and no stream is ever
-// consumed by two chunks.
+// seed. It is the sharded-RNG convention shared by every seeded
+// workload: exp.MonteCarlo, internal/yield (sample chunks and the
+// screen calibration), internal/faultmap (one stream per map plus the
+// DRV calibration block) and the noise ensembles of
+// engine.NoiseCriterion and internal/noisescan (spice.NoiseSource
+// mirrors the derivation below sweep). Work is drawn in fixed
+// units, unit c seeds its own rand.Source with ChunkSeed(seed, c), and
+// workers (or shards, see MapOwned and Merge) claim whole units — so
+// the sampled multiset is a pure function of (n, seed) at any worker
+// or shard count, and no stream is ever consumed by two units.
 //
 // The derivation is a splitmix64 finalizer over seed + (c+1)·γ, where γ
 // is the 64-bit golden-ratio increment. Splitmix64 is a bijection of

@@ -1,5 +1,5 @@
 // Package sweeptest holds the test harness of the sharded-estimate
-// contract (sweep.Owned/MapOwned/Merge) that every sharded workload —
+// contract (sweep.MapOwned and sweep.Merge) that every sharded workload —
 // internal/yield, internal/faultmap, internal/noisescan — checks itself
 // against: a wire-format golden for its Partial JSON and a randomized
 // property that any shard split, JSON round-tripped and merged in any
@@ -16,33 +16,13 @@ import (
 	"testing"
 )
 
-// Golden compares got with the file at path. With update set it first
-// rewrites the file, so a deliberate wire-format change is recorded by
-// re-running the test with -update.
-func Golden(t testing.TB, path string, got []byte, update bool) {
-	t.Helper()
-	if update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to record)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s: bytes differ from the recorded golden\n got %s\nwant %s", path, got, want)
-	}
-}
-
 // PartialGolden pins a workload's Partial wire format: every shard of a
 // k-way split must encode to the bytes recorded under dir
 // (partial-<s>-of-<k>.json), and the recorded partials — standing in
 // for shard results already in a persistent store — must still merge
-// to the JSON bytes of whole.
+// to the JSON bytes of whole. With update set it first rewrites the
+// files, so a deliberate wire-format change is recorded by re-running
+// the test with -update.
 func PartialGolden[P, R any](t testing.TB, dir string, k int, whole R, partial func(k, s int) (P, error), merge func([]P) (R, error), update bool) {
 	t.Helper()
 	parts := make([]P, k)
@@ -51,11 +31,19 @@ func PartialGolden[P, R any](t testing.TB, dir string, k int, whole R, partial f
 		if err != nil {
 			t.Fatalf("shard %d of %d: %v", s, k, err)
 		}
+		got := mustJSON(t, part)
 		path := filepath.Join(dir, fmt.Sprintf("partial-%d-of-%d.json", s, k))
-		Golden(t, path, mustJSON(t, part), update)
+		if update {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 		recorded, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v (run with -update to record)", err)
+		}
+		if !bytes.Equal(got, recorded) {
+			t.Errorf("%s: bytes differ from the recorded golden\n got %s\nwant %s", path, got, recorded)
 		}
 		if err := json.Unmarshal(recorded, &parts[s]); err != nil {
 			t.Fatalf("%s: %v", path, err)

@@ -18,13 +18,10 @@ func (Blockade) Name() string { return MethodBlockade }
 
 // Estimate implements Estimator.
 func (Blockade) Estimate(ctx context.Context, p Params) (Result, error) {
-	p.Shards, p.Shard = 1, 0
-	res, _, err := run(ctx, p, MethodBlockade, false)
-	return res, err
+	return estimate(ctx, p, MethodBlockade, false)
 }
 
 // Partial implements Estimator.
 func (Blockade) Partial(ctx context.Context, p Params) (Partial, error) {
-	_, part, err := run(ctx, p, MethodBlockade, false)
-	return part, err
+	return partial(ctx, p, MethodBlockade, false)
 }

@@ -15,13 +15,10 @@ func (ImportanceSampler) Name() string { return MethodIS }
 
 // Estimate implements Estimator.
 func (ImportanceSampler) Estimate(ctx context.Context, p Params) (Result, error) {
-	p.Shards, p.Shard = 1, 0
-	res, _, err := run(ctx, p, MethodIS, true)
-	return res, err
+	return estimate(ctx, p, MethodIS, true)
 }
 
 // Partial implements Estimator.
 func (ImportanceSampler) Partial(ctx context.Context, p Params) (Partial, error) {
-	_, part, err := run(ctx, p, MethodIS, true)
-	return part, err
+	return partial(ctx, p, MethodIS, true)
 }

@@ -2,6 +2,7 @@ package yield
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -81,39 +82,16 @@ func runChunk(p Params, s *screen, prop *proposal, shifted bool, c int) ChunkSta
 	return st
 }
 
-// shardChunks lists the chunk indices owned by p's shard, in order.
-func shardChunks(p Params) []int {
-	total := (p.Samples + Chunk - 1) / Chunk
-	out := make([]int, 0, total/p.Shards+1)
-	for c := p.Shard; c < total; c += p.Shards {
-		out = append(out, c)
-	}
-	return out
-}
-
-// run executes the shared estimator engine: calibrate the screen, fan
-// the shard's chunks over the sweep engine, and either finalize (full
-// estimate) or export the partial. method/shifted distinguish the two
-// estimators.
-func run(ctx context.Context, p Params, method string, shifted bool) (Result, Partial, error) {
+// run executes the shared estimator engine: calibrate the screen and
+// fan the chunks p's shard owns over the sweep engine. method/shifted
+// distinguish the two estimators.
+func run(ctx context.Context, p Params, method string, shifted bool) (Partial, error) {
 	p, err := p.withDefaults()
 	if err != nil {
-		return Result{}, Partial{}, err
+		return Partial{}, err
 	}
 	s := calibrate(p.Model, p.Cond, p.Vref, p.Seed)
 	prop := newProposal(s.shift)
-
-	var chunks []ChunkStat
-	if !s.certified(p.Vref) {
-		idx := shardChunks(p)
-		chunks, err = sweep.MapCtx(ctx, len(idx), func(i int) (ChunkStat, error) {
-			return runChunk(p, s, prop, shifted, idx[i]), nil
-		}, sweep.Workers(p.Workers))
-		if err != nil {
-			return Result{}, Partial{}, err
-		}
-	}
-
 	part := Partial{
 		Version: PartialVersion,
 		Method:  method,
@@ -124,15 +102,43 @@ func run(ctx context.Context, p Params, method string, shifted bool) (Result, Pa
 		Shards:  p.Shards,
 		Shard:   p.Shard,
 		Calib:   s.export(),
-		Chunks:  chunks,
 	}
-	if p.Shards > 1 {
-		countPartial(part)
-		return Result{}, part, nil
+	if !part.Certified() {
+		part.Chunks, err = sweep.MapOwned(ctx, (p.Samples+Chunk-1)/Chunk, p.Shards, p.Shard, func(c int) (ChunkStat, error) {
+			return runChunk(p, s, prop, shifted, c), nil
+		}, sweep.Workers(p.Workers))
+		if err != nil {
+			return Partial{}, err
+		}
+	}
+	return part, nil
+}
+
+// estimate runs a whole estimate (Params.Shards <= 1).
+func estimate(ctx context.Context, p Params, method string, shifted bool) (Result, error) {
+	if err := sweep.CheckWhole(p.Shards); err != nil {
+		return Result{}, fmt.Errorf("%w: %v", ErrBadParams, err)
+	}
+	part, err := run(ctx, p, method, shifted)
+	if err != nil {
+		return Result{}, err
 	}
 	res := finalize(part)
 	countRun(res)
-	return res, part, nil
+	return res, nil
+}
+
+// partial runs one shard of an estimate (Params.Shards >= 2).
+func partial(ctx context.Context, p Params, method string, shifted bool) (Partial, error) {
+	if err := sweep.CheckShard(p.Shards, p.Shard); err != nil {
+		return Partial{}, fmt.Errorf("%w: %v", ErrBadParams, err)
+	}
+	part, err := run(ctx, p, method, shifted)
+	if err != nil {
+		return Partial{}, err
+	}
+	countPartial(part)
+	return part, nil
 }
 
 // finalize reduces the chunk statistics — strictly in chunk order — to

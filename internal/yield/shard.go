@@ -2,9 +2,9 @@ package yield
 
 import (
 	"fmt"
-	"sort"
 
 	"sramtest/internal/process"
+	"sramtest/internal/sweep"
 )
 
 // PartialVersion tags the Partial wire format; a merger refuses any
@@ -63,84 +63,40 @@ type Partial struct {
 // (in which case it has no chunks to merge).
 func (p Partial) Certified() bool { return p.Calib.Certified }
 
-// mergeHeader is the merge-identity of a partial: everything that must
-// agree across shards, in a comparable struct.
+// mergeHeader is everything besides the shard placement that must
+// agree across a shard set: the job parameters and the calibration.
 type mergeHeader struct {
-	Version int
 	Method  string
 	Cond    process.Condition
 	Vref    float64
 	Samples int
 	Seed    int64
-	Shards  int
 	Calib   Calib
 }
 
-// header extracts the merge-identity of the partial.
-func (p Partial) header() mergeHeader {
-	return mergeHeader{
-		Version: p.Version,
-		Method:  p.Method,
-		Cond:    p.Cond,
-		Vref:    p.Vref,
-		Samples: p.Samples,
-		Seed:    p.Seed,
-		Shards:  p.Shards,
-		Calib:   p.Calib,
+// part is the merge view of p. A certified partial covers no chunks.
+func (p Partial) part() sweep.Part[mergeHeader, ChunkStat] {
+	units := 0
+	if !p.Certified() {
+		units = (p.Samples + Chunk - 1) / Chunk
+	}
+	return sweep.Part[mergeHeader, ChunkStat]{
+		Version: p.Version, Shards: p.Shards, Shard: p.Shard,
+		Header: mergeHeader{p.Method, p.Cond, p.Vref, p.Samples, p.Seed, p.Calib},
+		Units:  units, Stats: p.Chunks,
 	}
 }
 
-// MergePartials reassembles a full estimate from one partial per shard.
-// It verifies that every shard ran the same job (identical header and
-// calibration), that exactly the expected shards are present, and that
-// the union of chunks covers the sample budget with no gap or overlap —
-// then reduces them through the same chunk-ordered finalize as a local
-// run, reproducing its bytes exactly.
+// MergePartials reassembles a full estimate from one partial per shard,
+// validated by the shared sweep.Merge contract, through the same
+// chunk-ordered finalize as a local run — reproducing its bytes
+// exactly.
 func MergePartials(parts []Partial) (Result, error) {
-	if len(parts) == 0 {
-		return Result{}, fmt.Errorf("%w: no partials to merge", ErrBadParams)
+	chunks, err := sweep.Merge(parts, PartialVersion, Partial.part, func(st ChunkStat) int { return st.Chunk })
+	if err != nil {
+		return Result{}, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
-	ref := parts[0]
-	if ref.Version != PartialVersion {
-		return Result{}, fmt.Errorf("%w: partial version %d, want %d", ErrBadParams, ref.Version, PartialVersion)
-	}
-	if len(parts) != ref.Shards {
-		return Result{}, fmt.Errorf("%w: %d partials for %d shards", ErrBadParams, len(parts), ref.Shards)
-	}
-
-	head := ref.header()
-	seen := make(map[int]bool, len(parts))
-	var chunks []ChunkStat
-	for _, p := range parts {
-		if p.header() != head {
-			return Result{}, fmt.Errorf("%w: shard %d disagrees on the job header or calibration", ErrBadParams, p.Shard)
-		}
-		if p.Shard < 0 || p.Shard >= ref.Shards || seen[p.Shard] {
-			return Result{}, fmt.Errorf("%w: bad or duplicate shard index %d", ErrBadParams, p.Shard)
-		}
-		seen[p.Shard] = true
-		for _, st := range p.Chunks {
-			if st.Chunk%ref.Shards != p.Shard {
-				return Result{}, fmt.Errorf("%w: shard %d reports foreign chunk %d", ErrBadParams, p.Shard, st.Chunk)
-			}
-		}
-		chunks = append(chunks, p.Chunks...)
-	}
-
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i].Chunk < chunks[j].Chunk })
-	if !ref.Certified() {
-		want := (ref.Samples + Chunk - 1) / Chunk
-		if len(chunks) != want {
-			return Result{}, fmt.Errorf("%w: merged %d chunks, want %d", ErrBadParams, len(chunks), want)
-		}
-		for i, st := range chunks {
-			if st.Chunk != i {
-				return Result{}, fmt.Errorf("%w: chunk %d missing from the merge", ErrBadParams, i)
-			}
-		}
-	}
-
-	merged := ref
+	merged := parts[0]
 	merged.Shards, merged.Shard, merged.Chunks = 1, 0, chunks
 	return finalize(merged), nil
 }

@@ -139,9 +139,6 @@ func (p Params) withDefaults() (Params, error) {
 	if p.Shards <= 1 {
 		p.Shards, p.Shard = 1, 0
 	}
-	if p.Shard < 0 || p.Shard >= p.Shards {
-		return p, fmt.Errorf("%w: shard %d not in [0, %d)", ErrBadParams, p.Shard, p.Shards)
-	}
 	if p.Model == nil {
 		p.Model = CellModel{}
 	}
@@ -208,10 +205,11 @@ type Result struct {
 type Estimator interface {
 	// Name returns the method name used in job specs ("is", "blockade").
 	Name() string
-	// Estimate runs the full estimate (Params.Shards <= 1).
+	// Estimate runs the full estimate; Params.Shards > 1 is an error.
 	Estimate(ctx context.Context, p Params) (Result, error)
 	// Partial runs only this shard's chunks and returns the mergeable
-	// sufficient statistics (see MergePartials).
+	// sufficient statistics (see MergePartials); Params.Shards <= 1 is
+	// an error.
 	Partial(ctx context.Context, p Params) (Partial, error)
 }
 

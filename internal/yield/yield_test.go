@@ -206,7 +206,7 @@ func TestShardMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 2, 5} {
+		for _, shards := range []int{2, 5} {
 			parts := make([]Partial, shards)
 			for s := 0; s < shards; s++ {
 				sp := p
