@@ -10,6 +10,8 @@
 #   make engine-smoke engine matrix: spice vs tiered must emit identical bytes
 #   make cluster-smoke  3-node cluster batch must be byte-identical to one node
 #   make loadgen-smoke  short load-generator run; fails on any dropped request
+#   make cli-golden   drv -mc 300, yield and noisescan stdout must equal
+#                     results/mc.txt, results/yield.txt, results/noise.txt
 #   make yield-smoke, make faultmap-smoke, make noise-smoke
 #                     scripts/estimate-smoke.sh KIND: worker counts, cluster
 #                     shards and daemon job must be byte-identical; /metrics
@@ -18,7 +20,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet fmt test race bench bench-report serve-smoke diag-smoke diag-index-smoke engine-smoke cluster-smoke loadgen-smoke yield-smoke faultmap-smoke noise-smoke
+.PHONY: verify build vet fmt test race bench bench-report cli-golden serve-smoke diag-smoke diag-index-smoke engine-smoke cluster-smoke loadgen-smoke yield-smoke faultmap-smoke noise-smoke
 
 verify: build vet fmt test
 
@@ -47,6 +49,14 @@ bench:
 
 bench-report:
 	sh scripts/bench-report.sh
+
+cli-golden:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/" ./cmd/drv ./cmd/yield ./cmd/noisescan && \
+	"$$tmp/drv" -mc 300 | cmp - results/mc.txt && \
+	"$$tmp/yield" | cmp - results/yield.txt && \
+	"$$tmp/noisescan" | cmp - results/noise.txt && \
+	echo "cli-golden: PASS"
 
 serve-smoke:
 	sh scripts/serve-smoke.sh

@@ -10,6 +10,11 @@
 //	defectchar -classify          # re-derive the §IV.B defect categories
 //	defectchar -stability         # regulator loop-gain/phase-margin report
 //	defectchar -csv               # emit CSV
+//	defectchar -engine tiered     # same bytes from the tiered backend
+//	defectchar -criterion noise   # the dynamic noise retention criterion
+//
+// Table II runs as the sramd "charac" job (jobs.Run); its bytes are the
+// ones the daemon stores for the equivalent spec.
 package main
 
 import (
@@ -17,9 +22,8 @@ import (
 	"fmt"
 	"os"
 
-	"sramtest/internal/charac"
 	"sramtest/internal/cli"
-	"sramtest/internal/exp"
+	"sramtest/internal/jobs"
 	"sramtest/internal/power"
 	"sramtest/internal/process"
 	"sramtest/internal/regulator"
@@ -34,27 +38,14 @@ func main() {
 		classify  = flag.Bool("classify", false, "classify all 32 defects instead of characterizing")
 		stability = flag.Bool("stability", false, "report the regulator's loop stability across PVT")
 		csv       = flag.Bool("csv", false, "emit CSV")
+		engine    = flag.String("engine", "", "simulation engine, recorded in the job spec: spice|surrogate|tiered (default spice)")
+		criterion = flag.String("criterion", "", "retention criterion, recorded in the job spec: static|noise (default static)")
 	)
 	applyWorkers := cli.Workers(flag.CommandLine)
-	applyEngine := cli.Engine(flag.CommandLine)
-	applyCriterion := cli.Criterion(flag.CommandLine)
 	startProfile := cli.Profile(flag.CommandLine)
 	flag.Parse()
 	applyWorkers()
-	if err := applyEngine(); err != nil {
-		fmt.Fprintln(os.Stderr, "defectchar:", err)
-		os.Exit(2)
-	}
-	if err := applyCriterion(); err != nil {
-		fmt.Fprintln(os.Stderr, "defectchar:", err)
-		os.Exit(2)
-	}
 	defer startProfile()()
-
-	opt := charac.DefaultOptions()
-	if !*full {
-		opt.Conditions = charac.ReducedGrid()
-	}
 
 	if *classify {
 		runClassify()
@@ -65,47 +56,15 @@ func main() {
 		return
 	}
 
-	defects := regulator.DRFCandidates()
+	spec := jobs.Spec{Kind: jobs.KindCharac, CSV: *csv, Engine: *engine, Criterion: *criterion,
+		Charac: &jobs.CharacSpec{Full: *full}}
 	if *defect != 0 {
-		d := regulator.Defect(*defect)
-		if !d.Valid() {
-			fmt.Fprintf(os.Stderr, "defectchar: invalid defect %d\n", *defect)
-			os.Exit(2)
-		}
-		defects = []regulator.Defect{d}
+		spec.Charac.Defects = []int{*defect}
 	}
-	csList := charac.Table2CaseStudies()
 	if *cs != 0 {
-		if *cs < 1 || *cs > 5 {
-			fmt.Fprintf(os.Stderr, "defectchar: invalid case study %d\n", *cs)
-			os.Exit(2)
-		}
-		csList = csList[*cs-1 : *cs]
+		spec.Charac.CaseStudies = []int{*cs}
 	}
-
-	var results []charac.Result
-	for _, d := range defects {
-		for _, c := range csList {
-			res, err := charac.CharacterizeDefect(d, c, opt)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "defectchar:", err)
-				os.Exit(1)
-			}
-			results = append(results, res)
-			fmt.Fprintf(os.Stderr, "done %s/%s: %s\n", d, c.Name, res)
-		}
-	}
-	t := exp.Table2Report(results)
-	var err error
-	if *csv {
-		err = t.WriteCSV(os.Stdout)
-	} else {
-		err = t.Write(os.Stdout)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "defectchar:", err)
-		os.Exit(1)
-	}
+	cli.RunJob("defectchar", spec)
 }
 
 // runStability verifies the regulator design itself: loop gain, phase

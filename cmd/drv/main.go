@@ -7,6 +7,7 @@
 //	drv -table1            # Table I on the full corner×temperature grid
 //	drv -fig4 [-points N]  # Fig. 4(a)/(b) sweeps
 //	drv -dwell             # flip time vs undervoltage margin
+//	drv -mc N              # Monte-Carlo DRV distribution (the sramd exp job)
 //	drv -quick             # restrict any of the above to the dominant PVT conditions
 //	drv -csv               # emit tables as CSV instead of ASCII
 package main
@@ -19,6 +20,7 @@ import (
 	"sramtest/internal/cell"
 	"sramtest/internal/cli"
 	"sramtest/internal/exp"
+	"sramtest/internal/jobs"
 	"sramtest/internal/num"
 	"sramtest/internal/process"
 	"sramtest/internal/report"
@@ -35,14 +37,9 @@ func main() {
 		csv    = flag.Bool("csv", false, "emit CSV")
 	)
 	applyWorkers := cli.Workers(flag.CommandLine)
-	applyEngine := cli.Engine(flag.CommandLine)
 	startProfile := cli.Profile(flag.CommandLine)
 	flag.Parse()
 	applyWorkers()
-	if err := applyEngine(); err != nil {
-		fmt.Fprintln(os.Stderr, "drv:", err)
-		os.Exit(2)
-	}
 	defer startProfile()()
 	if !*table1 && !*fig4 && !*dwell && *mc == 0 {
 		*table1 = true
@@ -96,10 +93,8 @@ func main() {
 			fmt.Println("Paper §III.B observations 1 and 2: hold.")
 		}
 	}
-	if *mc > 0 {
-		cond := process.Condition{Corner: process.FS, VDD: 1.1, TempC: 125}
-		res := exp.MonteCarlo(cond, *mc, 2013)
-		emit(exp.MonteCarloReport(res, exp.NewWorstDRVForTest(cond)))
+	if *mc != 0 {
+		cli.RunJob("drv", jobs.Spec{Kind: jobs.KindExp, CSV: *csv, Exp: &jobs.ExpSpec{Samples: *mc}})
 	}
 	if *dwell {
 		// Both temperature extremes: hot cells flip within ns of the DS

@@ -9,6 +9,10 @@
 //	flow -no-vdd-constraint # drop the one-iteration-per-supply rule
 //	flow -time              # only print the test-time accounting
 //	flow -csv               # emit CSV
+//
+// The measurement modes run as the sramd "testflow" job (jobs.Run); their
+// bytes are the ones the daemon stores for the equivalent spec, so a
+// defect list prints in canonical (sorted, deduplicated) order.
 package main
 
 import (
@@ -18,11 +22,9 @@ import (
 	"strconv"
 	"strings"
 
-	"sramtest/internal/cell"
 	"sramtest/internal/cli"
 	"sramtest/internal/exp"
-	"sramtest/internal/process"
-	"sramtest/internal/regulator"
+	"sramtest/internal/jobs"
 	"sramtest/internal/testflow"
 )
 
@@ -32,16 +34,12 @@ func main() {
 		noVDD       = flag.Bool("no-vdd-constraint", false, "allow flows that skip supply voltages")
 		timeOnly    = flag.Bool("time", false, "print only the test-time accounting for the paper's 3-iteration flow")
 		csv         = flag.Bool("csv", false, "emit CSV")
+		engine      = flag.String("engine", "", "simulation engine, recorded in the job spec: spice|surrogate|tiered (default spice)")
 	)
 	applyWorkers := cli.Workers(flag.CommandLine)
-	applyEngine := cli.Engine(flag.CommandLine)
 	startProfile := cli.Profile(flag.CommandLine)
 	flag.Parse()
 	applyWorkers()
-	if err := applyEngine(); err != nil {
-		fmt.Fprintln(os.Stderr, "flow:", err)
-		os.Exit(2)
-	}
 	defer startProfile()()
 
 	if *timeOnly {
@@ -50,56 +48,27 @@ func main() {
 		return
 	}
 
-	mopt := testflow.DefaultMeasureOptions()
+	spec := jobs.Spec{Kind: jobs.KindTestFlow, CSV: *csv, Engine: *engine,
+		TestFlow: &jobs.TestFlowSpec{NoVDDConstraint: *noVDD}}
 	if *defectsFlag != "" {
-		var ds []regulator.Defect
 		for _, tok := range strings.Split(*defectsFlag, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || !regulator.Defect(n).Valid() {
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "flow: bad defect %q\n", tok)
 				os.Exit(2)
 			}
-			ds = append(ds, regulator.Defect(n))
+			spec.TestFlow.Defects = append(spec.TestFlow.Defects, n)
 		}
-		mopt.Defects = ds
 	}
-
+	norm, err := spec.Normalize()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "flow:", err)
+		os.Exit(2)
+	}
+	mopt := testflow.DefaultMeasureOptions()
 	fmt.Fprintf(os.Stderr, "measuring %d defects × 12 test conditions at %s/%g°C...\n",
-		len(mopt.Defects), mopt.Corner, mopt.TempC)
-	sens, err := testflow.Measure(mopt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flow:", err)
-		os.Exit(1)
-	}
-
-	cond := process.Condition{Corner: mopt.Corner, VDD: 1.1, TempC: mopt.TempC}
-	worst := cell.New(mopt.CS.Variation, cond).DRV1()
-	oopt := testflow.DefaultOptimizeOptions(worst)
-	oopt.RequireAllVDD = !*noVDD
-	flow := testflow.Optimize(sens, oopt)
-
-	res := exp.Table3Result{WorstDRV: worst, Sensitivities: sens, Flow: flow}
-	t := exp.Table3Report(res)
-	if *csv {
-		err = t.WriteCSV(os.Stdout)
-	} else {
-		err = t.Write(os.Stdout)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flow:", err)
-		os.Exit(1)
-	}
-	fmt.Println()
-	if len(flow.Uncoverable) > 0 {
-		fmt.Printf("defects undetectable at every eligible condition: %v\n", flow.Uncoverable)
-	}
-
-	// Sensitivity matrix (one row per condition).
-	if !*csv {
-		_ = exp.SensitivityReport(sens, mopt.Defects).Write(os.Stdout)
-		fmt.Println()
-	}
-	printTime(exp.TestTime(flow))
+		len(norm.TestFlow.Defects), mopt.Corner, mopt.TempC)
+	cli.RunJob("flow", norm)
 }
 
 func printTime(r exp.TestTimeResult) {

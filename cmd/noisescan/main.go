@@ -11,22 +11,21 @@
 //	noisescan [-cs N] [-points P] [-runs R] [-sigma A] [-seed S] [-csv]
 //	noisescan -cluster URL [-shards K]   # fan shards out over POST /v1/batch
 //
-// Local runs scan in-process on the sweep engine; -cluster sends K shard
-// jobs through an sramd node or coordinator's batch endpoint, merges the
-// returned partials with noisescan.MergePartials, and renders the same
-// tables. Both paths are byte-identical to the daemon's own noisescan
-// job output at any worker count and any shard count.
+// Local runs are the sramd noisescan job (jobs.Run) in-process; -cluster
+// sends the same spec as K shard jobs through an sramd node or
+// coordinator's batch endpoint, merges the returned partials with
+// noisescan.MergePartials, and renders the same tables. Both paths are
+// byte-identical to the daemon's own noisescan job output at any worker
+// count and any shard count.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"sramtest/internal/cli"
 	"sramtest/internal/cluster"
-	"sramtest/internal/engine"
 	"sramtest/internal/jobs"
 	"sramtest/internal/noisescan"
 	"sramtest/internal/report"
@@ -51,33 +50,28 @@ func main() {
 	applyWorkers()
 	defer startProfile()()
 
-	noise := engine.DefaultNoiseParams()
-	if *runs > 0 {
-		noise.Runs = *runs
+	spec := jobs.Spec{
+		Kind: jobs.KindNoiseScan,
+		CSV:  *csv,
+		NoiseScan: &jobs.NoiseScanSpec{
+			CaseStudy: *cs, Points: *points, Below: *below, Above: *above,
+		},
+		Noise: &jobs.NoiseSpec{Runs: *runs, Sigma: *sigma, Seed: *seed},
 	}
-	if *sigma > 0 {
-		noise.Sigma = *sigma
+	if *clusterURL == "" {
+		cli.RunJob("noisescan", spec)
+		return
 	}
-	if *seed != 0 {
-		noise.Seed = *seed
-	}
-	p := noisescan.Params{
-		CaseStudy: *cs,
-		Points:    *points,
-		Below:     *below,
-		Above:     *above,
-		Noise:     noise,
-	}
-
-	var (
-		res noisescan.Result
-		err error
-	)
-	if *clusterURL != "" {
-		res, err = clusterScan(*clusterURL, *shards, p)
-	} else {
-		res, err = noisescan.Scan(context.Background(), p)
-	}
+	// Shard s owns the rail points i ≡ s (mod K), and every point's
+	// ensemble draws the same reserved criterion streams, so the merged
+	// result is byte-identical to the whole job — the cluster only
+	// changes where the solves run.
+	res, err := cluster.FanOutShards(*clusterURL, *shards, func(s int) jobs.Spec {
+		shard, sub := spec, *spec.NoiseScan
+		sub.Shards, sub.Shard = *shards, s
+		shard.CSV, shard.NoiseScan = false, &sub
+		return shard
+	}, noisescan.MergePartials)
 	if err == nil {
 		err = report.Emit(os.Stdout, *csv, noisescan.Summary(res), noisescan.Curve(res))
 	}
@@ -85,28 +79,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "noisescan:", err)
 		os.Exit(1)
 	}
-}
-
-// clusterScan fans K shard jobs out through the batch endpoint and
-// merges the partials. Shard s owns the rail points i ≡ s (mod K), and
-// every point's ensemble draws the same reserved criterion streams, so
-// the merged result is byte-identical to a local single-shard run with
-// the same parameters — the cluster only changes where the solves run.
-func clusterScan(target string, shards int, p noisescan.Params) (noisescan.Result, error) {
-	return cluster.FanOutShards(target, shards, func(s int) jobs.Spec {
-		return jobs.Spec{
-			Kind: jobs.KindNoiseScan,
-			NoiseScan: &jobs.NoiseScanSpec{
-				CaseStudy: p.CaseStudy, Points: p.Points,
-				Below: p.Below, Above: p.Above,
-				Shards: shards, Shard: s,
-			},
-			Noise: &jobs.NoiseSpec{
-				Runs: p.Noise.Runs, Sigma: p.Noise.Sigma,
-				SlotDt: p.Noise.SlotDt, Window: p.Noise.Window,
-				PFail: p.Noise.PFail, Tol: p.Noise.Tol,
-				MaxTighten: p.Noise.MaxTighten, Seed: p.Noise.Seed,
-			},
-		}
-	}, noisescan.MergePartials)
 }

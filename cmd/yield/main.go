@@ -9,15 +9,15 @@
 //	yield [-n N] [-seed S] [-vref V] [-method is|blockade] [-csv]
 //	yield -cluster URL [-shards K]   # fan shards out over POST /v1/batch
 //
-// Local runs estimate in-process on the sweep engine; -cluster sends K
-// shard jobs through an sramd node or coordinator's batch endpoint,
-// merges the returned partials with yield.MergePartials, and renders
-// the same table. Both paths are byte-identical to the daemon's own
-// yield job output at any worker count and any shard count.
+// Local runs are the sramd yield job (jobs.Run) in-process; -cluster
+// sends the same spec as K shard jobs through an sramd node or
+// coordinator's batch endpoint, merges the returned partials with
+// yield.MergePartials, and renders the same table. Both paths are
+// byte-identical to the daemon's own yield job output at any worker
+// count and any shard count.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -25,7 +25,6 @@ import (
 	"sramtest/internal/cli"
 	"sramtest/internal/cluster"
 	"sramtest/internal/jobs"
-	"sramtest/internal/process"
 	"sramtest/internal/report"
 	"sramtest/internal/yield"
 )
@@ -46,15 +45,19 @@ func main() {
 	applyWorkers()
 	defer startProfile()()
 
-	var (
-		res yield.Result
-		err error
-	)
-	if *clusterURL != "" {
-		res, err = clusterEstimate(*clusterURL, *shards, *n, *seed, *vref, *method)
-	} else {
-		res, err = localEstimate(*n, *seed, *vref, *method)
+	sub := jobs.YieldSpec{Samples: *n, Seed: *seed, Vref: *vref, Method: *method}
+	if *clusterURL == "" {
+		cli.RunJob("yield", jobs.Spec{Kind: jobs.KindYield, CSV: *csv, Yield: &sub})
+		return
 	}
+	// Shard s owns the sample chunks c ≡ s (mod K), so the merged result
+	// is byte-identical to the whole job — the cluster only changes where
+	// the solves run.
+	res, err := cluster.FanOutShards(*clusterURL, *shards, func(s int) jobs.Spec {
+		shard := sub
+		shard.Shards, shard.Shard = *shards, s
+		return jobs.Spec{Kind: jobs.KindYield, Yield: &shard}
+	}, yield.MergePartials)
 	if err == nil {
 		err = report.Emit(os.Stdout, *csv, yield.Report(res))
 	}
@@ -62,33 +65,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "yield:", err)
 		os.Exit(1)
 	}
-}
-
-// localEstimate runs the whole estimate in-process. The condition is
-// cmd/drv's fixed Monte-Carlo condition — the retention-worst PVT point
-// the daemon's yield job also pins.
-func localEstimate(n int, seed int64, vref float64, method string) (yield.Result, error) {
-	est, err := yield.New(method)
-	if err != nil {
-		return yield.Result{}, err
-	}
-	return est.Estimate(context.Background(), yield.Params{
-		Cond:    process.Condition{Corner: process.FS, VDD: 1.1, TempC: 125},
-		Vref:    vref,
-		Samples: n,
-		Seed:    seed,
-	})
-}
-
-// clusterEstimate fans K shard jobs out through the batch endpoint and
-// merges the partials. Shard s owns the sample chunks c ≡ s (mod K), so
-// the merged result is byte-identical to a local single-shard run with
-// the same parameters — the cluster only changes where the solves run.
-func clusterEstimate(target string, shards, n int, seed int64, vref float64, method string) (yield.Result, error) {
-	return cluster.FanOutShards(target, shards, func(s int) jobs.Spec {
-		return jobs.Spec{Kind: jobs.KindYield, Yield: &jobs.YieldSpec{
-			Samples: n, Seed: seed, Vref: vref, Method: method,
-			Shards: shards, Shard: s,
-		}}
-	}, yield.MergePartials)
 }

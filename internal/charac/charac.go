@@ -61,11 +61,11 @@ type Options struct {
 	// -engine flag picked another). The backend's name is part of the
 	// point memo key, so runs with different engines never share points.
 	Engine engine.Engine
-	// Criterion selects the retention-decision criterion; nil uses the
-	// process default (engine.DefaultCriterion — Static unless the
-	// -criterion flag picked another). Like the engine, the criterion's
-	// name is part of the point memo key: a noise-tightened minimal
-	// resistance must never masquerade as a static one.
+	// Criterion selects the retention-decision criterion; nil means
+	// Static, the paper's criterion — there is no process-wide criterion
+	// default. Like the engine, the criterion's name is part of the point
+	// memo key: a noise-tightened minimal resistance must never
+	// masquerade as a static one.
 	Criterion engine.Criterion
 }
 
@@ -80,8 +80,8 @@ func (o Options) ctx() context.Context {
 // engine returns the options' backend, defaulting to the process default.
 func (o Options) engine() engine.Engine { return engine.Pick(o.Engine) }
 
-// criterion returns the options' retention criterion, defaulting to the
-// process default.
+// criterion returns the options' retention criterion, defaulting to
+// Static.
 func (o Options) criterion() engine.Criterion { return engine.PickCriterion(o.Criterion) }
 
 // level returns the reference level for a condition under the options'

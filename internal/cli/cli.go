@@ -4,6 +4,8 @@
 package cli
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -15,6 +17,7 @@ import (
 	_ "sramtest/internal/engine/spicebe"   // default backend
 	_ "sramtest/internal/engine/surrogate" // -engine surrogate
 	_ "sramtest/internal/engine/tiered"    // -engine tiered
+	"sramtest/internal/jobs"
 	"sramtest/internal/sweep"
 )
 
@@ -47,24 +50,21 @@ func Engine(fs *flag.FlagSet) (apply func() error) {
 	}
 }
 
-// Criterion registers the standard -criterion flag on fs and returns an
-// apply function to call after fs.Parse: it resolves the chosen
-// retention criterion and installs it as the process-wide default
-// (engine.SetDefaultCriterion), so every evaluation whose options leave
-// the criterion nil follows the flag. The empty value keeps the static
-// DRV rule — the paper's criterion and the pre-seam behavior, byte for
-// byte. "noise" switches retention decisions to the accelerated
-// stochastic-transient ensemble with the engine's default NoiseParams.
-func Criterion(fs *flag.FlagSet) (apply func() error) {
-	name := fs.String("criterion", "",
-		fmt.Sprintf("retention criterion: %s (default static)", strings.Join(engine.CriterionNames(), "|")))
-	return func() error {
-		c, err := engine.ResolveCriterion(*name)
-		if err != nil {
-			return err
+// RunJob runs spec through jobs.Run, the runner behind every sramd job,
+// and writes the job's bytes to stdout, so a spec-shaped CLI prints
+// exactly what the daemon stores for the same spec. It exits 2 on an
+// invalid spec and 1 on a failed run.
+func RunJob(prog string, spec jobs.Spec) {
+	b, err := jobs.Run(context.Background(), spec)
+	if err == nil {
+		_, err = os.Stdout.Write(b)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+		if errors.Is(err, jobs.ErrBadSpec) {
+			os.Exit(2)
 		}
-		engine.SetDefaultCriterion(c)
-		return nil
+		os.Exit(1)
 	}
 }
 

@@ -2,10 +2,8 @@ package cli
 
 import (
 	"flag"
-	"strings"
 	"testing"
 
-	"sramtest/internal/engine"
 	"sramtest/internal/sweep"
 )
 
@@ -35,48 +33,5 @@ func TestWorkersFlagDefaultKeepsEnvFallback(t *testing.T) {
 	apply()
 	if got := sweep.DefaultWorkers(); got != 7 {
 		t.Errorf("unset flag must keep the env fallback: got %d, want 7", got)
-	}
-}
-
-func TestCriterionFlag(t *testing.T) {
-	defer engine.SetDefaultCriterion(engine.Static{})
-
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	apply := Criterion(fs)
-	if err := fs.Parse([]string{"-criterion", "noise"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := apply(); err != nil {
-		t.Fatal(err)
-	}
-	if name := engine.DefaultCriterion().Name(); !strings.HasPrefix(name, "noise.v1") {
-		t.Errorf("default criterion after apply = %q, want a noise.v1 criterion", name)
-	}
-}
-
-func TestCriterionFlagDefaultKeepsStatic(t *testing.T) {
-	defer engine.SetDefaultCriterion(engine.Static{})
-
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	apply := Criterion(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := apply(); err != nil {
-		t.Fatal(err)
-	}
-	if name := engine.DefaultCriterion().Name(); name != "static" {
-		t.Errorf("unset flag must keep the static criterion: got %q", name)
-	}
-}
-
-func TestCriterionFlagRejectsUnknown(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	apply := Criterion(fs)
-	if err := fs.Parse([]string{"-criterion", "bogus"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := apply(); err == nil {
-		t.Error("unknown criterion accepted")
 	}
 }

@@ -271,12 +271,13 @@ func TestBatchReplicatesIntoCoordinatorStore(t *testing.T) {
 // TestCoordinatorPinsEngineDefault: a node configured with a different
 // default engine must not rewrite jobs the coordinator forwards — the
 // coordinator pins its own resolved engine explicitly, so keys and
-// bytes stay those of the exact backend.
+// bytes stay those of the exact backend. The job is a charac job, whose
+// engine is part of its content address (engine-blind kinds fold it).
 func TestCoordinatorPinsEngineDefault(t *testing.T) {
 	_, bases := startNodes(t, 1, jobs.Config{Run: jobs.FixtureRunner(0), DefaultEngine: "surrogate"})
 	_, coordSrv := startCoordinator(t, bases, nil) // coordinator default: spice
 
-	s := expSpec(8, 7)
+	s := jobs.Spec{Kind: jobs.KindCharac, Charac: &jobs.CharacSpec{Defects: []int{16}, CaseStudies: []int{1}}}
 	key, err := s.Key()
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"sync"
 
 	"sramtest/internal/cell"
 	"sramtest/internal/process"
@@ -69,7 +66,7 @@ type Criterion interface {
 
 // Static is the paper's original DRF criterion: a datum is lost when the
 // settled rail sits below the static DRV (SNM → 0) and the flip
-// completes within the DS dwell. It is the process default and the
+// completes within the DS dwell. It is what a nil criterion means and the
 // identity element of the seam — a Static-criterion run is byte-
 // identical to the pre-seam code at every layer.
 type Static struct{}
@@ -254,99 +251,13 @@ func (m CriterionModel) DRV1(v process.Variation, cond process.Condition) float6
 	return m.Crit.DRV1(v, cond)
 }
 
-// criterionCtors maps flag-level criterion names to constructors,
-// mirroring the engine registry. The two built-ins are pre-registered;
-// the map exists so tests can stub criteria the same way they stub
-// engines.
-var criterionRegistry = struct {
-	sync.Mutex
-	ctors map[string]func() Criterion
-}{ctors: map[string]func() Criterion{
-	"static": func() Criterion { return Static{} },
-	"noise":  func() Criterion { return NewNoiseCriterion(DefaultNoiseParams()) },
-}}
-
-// RegisterCriterion installs a criterion constructor under a flag-level
-// name. Later registrations of the same name win.
-func RegisterCriterion(name string, ctor func() Criterion) {
-	criterionRegistry.Lock()
-	defer criterionRegistry.Unlock()
-	criterionRegistry.ctors[name] = ctor
-}
-
-// CriterionNames lists the registered criteria, sorted (flag help text).
-func CriterionNames() []string {
-	criterionRegistry.Lock()
-	defer criterionRegistry.Unlock()
-	out := make([]string, 0, len(criterionRegistry.ctors))
-	for n := range criterionRegistry.ctors {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ResolveCriterion constructs the criterion registered under name. The
-// empty name resolves to "static" (the pre-seam behaviour, and the
-// spelling canonical job specs fold to). Parameterized names are
-// accepted too ("noise.v1(...)" matches a registered constructor whose
-// Name() agrees), so canonical spellings round-trip.
-func ResolveCriterion(name string) (Criterion, error) {
-	if name == "" {
-		name = "static"
-	}
-	criterionRegistry.Lock()
-	ctor, ok := criterionRegistry.ctors[name]
-	criterionRegistry.Unlock()
-	if ok {
-		return ctor(), nil
-	}
-	criterionRegistry.Lock()
-	ctors := make([]func() Criterion, 0, len(criterionRegistry.ctors))
-	for _, c := range criterionRegistry.ctors {
-		ctors = append(ctors, c)
-	}
-	criterionRegistry.Unlock()
-	for _, c := range ctors {
-		if cr := c(); cr.Name() == name {
-			return cr, nil
-		}
-	}
-	return nil, fmt.Errorf("engine: unknown criterion %q (have %v)", name, CriterionNames())
-}
-
-// defaultCriterion is the process-wide default, settable by the shared
-// -criterion flag (internal/cli), mirroring the engine default.
-var (
-	defaultCritMu    sync.Mutex
-	defaultCriterion Criterion
-)
-
-// SetDefaultCriterion installs the process-wide default criterion. nil
-// resets to Static.
-func SetDefaultCriterion(c Criterion) {
-	defaultCritMu.Lock()
-	defaultCriterion = c
-	defaultCritMu.Unlock()
-}
-
-// DefaultCriterion returns the process-wide default criterion: the one
-// installed by SetDefaultCriterion, else Static.
-func DefaultCriterion() Criterion {
-	defaultCritMu.Lock()
-	c := defaultCriterion
-	defaultCritMu.Unlock()
-	if c != nil {
-		return c
-	}
-	return Static{}
-}
-
-// PickCriterion returns c when non-nil, else the process default. Sweep
-// options use it to resolve their Criterion field.
+// PickCriterion returns c when non-nil, else Static — the paper's
+// criterion. There is no process default: a caller wanting another
+// criterion names it in its options. Sweep options use it to resolve
+// their Criterion field.
 func PickCriterion(c Criterion) Criterion {
 	if c != nil {
 		return c
 	}
-	return DefaultCriterion()
+	return Static{}
 }

@@ -59,9 +59,8 @@ type Engine interface {
 	// thresholds, calibration tables) for the given PVT condition and
 	// reference level. sopt carries the solver settings, notably the
 	// ColdStart ablation. crit selects the retention-decision criterion;
-	// nil resolves to the process default (Static unless a -criterion
-	// flag installed another). The Eval is NOT safe for concurrent use;
-	// each worker holds its own.
+	// nil resolves to Static (PickCriterion). The Eval is NOT safe for
+	// concurrent use; each worker holds its own.
 	Eval(cond process.Condition, level regulator.VrefLevel, sopt spice.Options, crit Criterion) (Eval, error)
 	// DRV1 is the static data-retention-voltage oracle for a stored '1'
 	// (the bisection over the cell's retention criterion). It is pure

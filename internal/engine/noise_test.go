@@ -129,37 +129,15 @@ func TestDecideLostDCConservativeMargin(t *testing.T) {
 	}
 }
 
-// TestCriterionRegistry: resolution, canonical-name round-trips and the
-// process default.
-func TestCriterionRegistry(t *testing.T) {
-	if got, err := engine.ResolveCriterion(""); err != nil || got.Name() != "static" {
-		t.Fatalf("ResolveCriterion(\"\") = %v, %v", got, err)
+// TestPickCriterion: a nil criterion means Static (there is no process
+// default), and an explicit criterion is returned unchanged.
+func TestPickCriterion(t *testing.T) {
+	if got := engine.PickCriterion(nil).Name(); got != "static" {
+		t.Fatalf("PickCriterion(nil) = %q, want static", got)
 	}
-	n, err := engine.ResolveCriterion("noise")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := engine.ResolveCriterion(n.Name())
-	if err != nil {
-		t.Fatalf("canonical spelling %q does not round-trip: %v", n.Name(), err)
-	}
-	if rt.Name() != n.Name() {
-		t.Fatalf("round-trip of %q resolved to %q", n.Name(), rt.Name())
-	}
-	if _, err := engine.ResolveCriterion("nosuch"); err == nil {
-		t.Fatal("ResolveCriterion(nosuch) succeeded")
-	}
-
-	defer engine.SetDefaultCriterion(nil)
-	if got := engine.DefaultCriterion().Name(); got != "static" {
-		t.Fatalf("built-in default criterion %q, want static", got)
-	}
-	engine.SetDefaultCriterion(n)
-	if got := engine.PickCriterion(nil).Name(); got != n.Name() {
-		t.Fatalf("PickCriterion(nil) after SetDefault = %q", got)
-	}
-	if got := engine.PickCriterion(engine.Static{}).Name(); got != "static" {
-		t.Fatalf("explicit criterion lost to the default: %q", got)
+	n := engine.NewNoiseCriterion(engine.DefaultNoiseParams())
+	if got := engine.PickCriterion(n).Name(); got != n.Name() {
+		t.Fatalf("PickCriterion(noise) = %q, want %q", got, n.Name())
 	}
 }
 

@@ -266,7 +266,7 @@ func TestTable3ReportRendering(t *testing.T) {
 
 func TestMonteCarlo(t *testing.T) {
 	cond := process.Condition{Corner: process.FS, VDD: 1.1, TempC: 125}
-	res := MonteCarlo(cond, 24, 7)
+	res := MonteCarloWorkers(cond, 24, 7, 0)
 	if len(res.DRV) != 24 {
 		t.Fatalf("got %d samples", len(res.DRV))
 	}

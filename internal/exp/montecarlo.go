@@ -30,17 +30,12 @@ type MonteCarloResult struct {
 // is a pure function of (n, seed) and identical for any worker count.
 const mcChunk = 16
 
-// MonteCarlo samples n random cells (independent normal ΔVth per
+// MonteCarloWorkers samples n random cells (independent normal ΔVth per
 // transistor, truncated at ±6σ) at one condition and returns their
 // retention-voltage distribution. Chunks of samples are evaluated in
 // parallel on the sweep engine, each chunk with its own rand.Source
-// derived from the seed.
-func MonteCarlo(cond process.Condition, n int, seed int64) MonteCarloResult {
-	return MonteCarloWorkers(cond, n, seed, 0)
-}
-
-// MonteCarloWorkers is MonteCarlo with an explicit worker bound
-// (0 = process default). The result does not depend on workers.
+// derived from the seed, on at most workers workers (0 = process
+// default). The result does not depend on workers.
 func MonteCarloWorkers(cond process.Condition, n int, seed int64, workers int) MonteCarloResult {
 	res, _ := MonteCarloCtx(context.Background(), cond, n, seed, workers)
 	return res

@@ -21,7 +21,7 @@ func TestMonteCarloWorkerInvariance(t *testing.T) {
 	if !reflect.DeepEqual(one, four) {
 		t.Errorf("workers=4 distribution deviates from workers=1:\n%v\n%v", four.DRV, one.DRV)
 	}
-	def := MonteCarlo(cond, n, seed)
+	def := MonteCarloWorkers(cond, n, seed, 0)
 	if !reflect.DeepEqual(one, def) {
 		t.Error("default-worker MonteCarlo deviates from the explicit path")
 	}

@@ -26,15 +26,23 @@ import (
 // Run executes a job spec and returns exactly the bytes the matching CLI
 // writes to stdout (stderr progress chatter excluded):
 //
-//	charac   ≡ defectchar [-full] [-defect N] [-cs N] [-csv]
-//	exp      ≡ drv -mc N [-csv]
-//	testflow ≡ flow [-defects ...] [-no-vdd-constraint] [-csv]
-//	diag     ≡ diagnose build [-defects ...] [-cs ...] [-decades ...]
-//	           [-base-only] -o -
+//	charac    ≡ defectchar [-full] [-defect N] [-cs N] [-engine E]
+//	            [-criterion C] [-csv]
+//	exp       ≡ drv -mc N [-csv]
+//	testflow  ≡ flow [-defects ...] [-no-vdd-constraint] [-engine E] [-csv]
+//	diag      ≡ diagnose build [-defects ...] [-cs ...] [-decades ...]
+//	            [-base-only] [-points-per-decade N] [-engine E] -o -
+//	yield     ≡ yield [-n N] [-seed S] [-vref V] [-method M] [-csv]
+//	faultmap  ≡ faultmap [-maps N] [-seed S] [-vref V] [-defect P] [-tests ...]
+//	            [-random N] [-engine bist] [-csv]
+//	noisescan ≡ noisescan [-cs N] [-points P] [-runs R] [-sigma A]
+//	            [-seed S] [-csv]
 //
-// This byte-identity holds at any worker count — it is the sweep
-// engine's determinism contract, and the reason results can be cached by
-// spec alone. ctx cancels the underlying sweeps promptly; a
+// The spec-shaped CLIs (all but faultmap) print Run's bytes themselves,
+// so the identity holds by construction for them; faultmap renders with
+// the same report.Emit. It holds at any worker count — the sweep
+// engine's determinism contract, and the reason results can be cached
+// by spec alone. ctx cancels the underlying sweeps promptly; a
 // sweep.Progress carried by ctx (sweep.ContextWithProgress) is tallied
 // while the job runs.
 func Run(ctx context.Context, spec Spec) ([]byte, error) {
@@ -50,30 +58,11 @@ func Run(ctx context.Context, spec Spec) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	switch spec.Kind {
-	case KindCharac:
-		return runCharac(ctx, spec, eng)
-	case KindExp:
-		return runExp(ctx, spec)
-	case KindTestFlow:
-		return runTestFlow(ctx, spec, eng)
-	case KindDiag:
-		return runDiag(ctx, spec, eng)
-	case KindYield:
-		return runYield(ctx, spec)
-	case KindFaultMap:
-		return runFaultMap(ctx, spec)
-	case KindNoiseScan:
-		return runNoiseScan(ctx, spec)
-	}
-	return nil, fmt.Errorf("%w: unknown kind %q", ErrBadSpec, spec.Kind)
+	return kinds[spec.Kind].run(ctx, spec, eng)
 }
 
-// specCriterion resolves the spec's retention criterion. Like the
-// engine, the spec names it explicitly ("" ≡ static after
-// normalization) and the process default is deliberately not consulted,
-// so a store key always maps to one criterion regardless of daemon
-// configuration.
+// specCriterion resolves the spec's retention criterion, which the spec
+// names explicitly ("" ≡ static after normalization).
 func specCriterion(spec Spec) (engine.Criterion, error) {
 	switch spec.Criterion {
 	case "":
@@ -91,7 +80,7 @@ func specCriterion(spec Spec) (engine.Criterion, error) {
 // cluster fan-out reassembles with noisescan.MergePartials. Like
 // KindExp and KindYield, the scan drives the cell netlist directly and
 // ignores the engine field.
-func runNoiseScan(ctx context.Context, spec Spec) ([]byte, error) {
+func runNoiseScan(ctx context.Context, spec Spec, _ engine.Engine) ([]byte, error) {
 	ns := spec.NoiseScan
 	p := noisescan.Params{
 		CaseStudy: ns.CaseStudy,
@@ -126,7 +115,7 @@ func runNoiseScan(ctx context.Context, spec Spec) ([]byte, error) {
 // the corpus samples the cell model directly and ignores the engine
 // field (the sub-spec's BIST switch selects the coverage evaluator, not
 // the simulation backend).
-func runFaultMap(ctx context.Context, spec Spec) ([]byte, error) {
+func runFaultMap(ctx context.Context, spec Spec, _ engine.Engine) ([]byte, error) {
 	f := spec.FaultMap
 	p := faultmap.Params{
 		Maps:   f.Maps,
@@ -179,7 +168,7 @@ func runFaultMap(ctx context.Context, spec Spec) ([]byte, error) {
 // mergeable yield.Partial JSON artifact the cluster fan-out reassembles
 // with yield.MergePartials. Like KindExp, the estimate samples the cell
 // model directly and ignores the engine field.
-func runYield(ctx context.Context, spec Spec) ([]byte, error) {
+func runYield(ctx context.Context, spec Spec, _ engine.Engine) ([]byte, error) {
 	y := spec.Yield
 	est, err := yield.New(y.Method)
 	if err != nil {
@@ -277,10 +266,11 @@ func runCharac(ctx context.Context, spec Spec, eng engine.Engine) ([]byte, error
 	return buf.Bytes(), nil
 }
 
-// mcCondition is cmd/drv's fixed Monte-Carlo condition.
+// mcCondition is the fixed Monte-Carlo condition of the exp, yield,
+// faultmap and noisescan kinds: the retention-worst PVT point.
 var mcCondition = process.Condition{Corner: process.FS, VDD: 1.1, TempC: 125}
 
-func runExp(ctx context.Context, spec Spec) ([]byte, error) {
+func runExp(ctx context.Context, spec Spec, _ engine.Engine) ([]byte, error) {
 	res, err := exp.MonteCarloCtx(ctx, mcCondition, spec.Exp.Samples, spec.Exp.Seed, 0)
 	if err != nil {
 		return nil, err

@@ -20,10 +20,11 @@ import (
 	"sramtest/internal/yield"
 )
 
-// cliCharacBytes reproduces cmd/defectchar's stdout path literally: the
-// per-(defect, case study) CharacterizeDefect loop feeding
-// exp.Table2Report. The job runner goes through CharacterizeAll instead;
-// the daemon's contract is that both emit identical bytes.
+// cliCharacBytes is a reference implementation of the Table II bytes
+// cmd/defectchar prints: the per-(defect, case study)
+// CharacterizeDefect loop feeding exp.Table2Report. The job runner goes
+// through CharacterizeAll instead; the contract is that both emit
+// identical bytes.
 func cliCharacBytes(t *testing.T, defects []regulator.Defect, cs []int, csv bool) []byte {
 	t.Helper()
 	opt := charac.DefaultOptions()
@@ -61,7 +62,7 @@ func TestCharacJobMatchesCLIBytes(t *testing.T) {
 	}
 	want := cliCharacBytes(t, []regulator.Defect{16, 19}, []int{1}, false)
 	if !bytes.Equal(got, want) {
-		t.Errorf("job bytes differ from the CLI path:\n--- job ---\n%s\n--- cli ---\n%s", got, want)
+		t.Errorf("job bytes differ from the reference:\n--- job ---\n%s\n--- reference ---\n%s", got, want)
 	}
 	if len(got) == 0 || !bytes.Contains(got, []byte("Table II")) {
 		t.Errorf("implausible result:\n%s", got)
@@ -74,7 +75,7 @@ func TestCharacJobMatchesCLIBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotCSV, cliCharacBytes(t, []regulator.Defect{16, 19}, []int{1}, true)) {
-		t.Error("CSV job bytes differ from the CLI path")
+		t.Error("CSV job bytes differ from the reference")
 	}
 }
 
@@ -117,10 +118,9 @@ func TestRunWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestYieldJobMatchesCLIBytes pins the yield job to the exact bytes
-// cmd/yield writes: estimator → Report table → trailing blank line.
-// Byte identity here is what lets the daemon serve cached yield results
-// interchangeably with local CLI runs.
+// TestYieldJobMatchesCLIBytes pins the yield job (whose bytes cmd/yield
+// prints) to a reference implementation on the library API: estimator →
+// Report table → trailing blank line.
 func TestYieldJobMatchesCLIBytes(t *testing.T) {
 	spec := Spec{Kind: KindYield, Yield: &YieldSpec{Samples: 64, Vref: 0.34}}
 	got, err := Run(context.Background(), spec)
@@ -128,7 +128,7 @@ func TestYieldJobMatchesCLIBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The CLI path, spelled out literally.
+	// The reference, spelled out on the library API.
 	est, err := yield.New("")
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestYieldJobMatchesCLIBytes(t *testing.T) {
 	}
 	fmt.Fprintln(&want)
 	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("job bytes differ from the CLI path:\n--- job ---\n%s\n--- cli ---\n%s", got, want.Bytes())
+		t.Errorf("job bytes differ from the reference:\n--- job ---\n%s\n--- reference ---\n%s", got, want.Bytes())
 	}
 	if !bytes.Contains(got, []byte("EXP-YD")) {
 		t.Errorf("implausible result:\n%s", got)
@@ -272,11 +272,10 @@ func TestFaultMapShardJobsMerge(t *testing.T) {
 	}
 }
 
-// TestNoiseScanJobMatchesCLIBytes pins the noisescan job to the exact
-// bytes cmd/noisescan writes: Scan → Summary table → blank line → Curve
-// table → blank line, at the fixed Monte-Carlo condition. This is one
-// leg of the satellite determinism contract — CLI, daemon and cluster
-// must agree byte for byte.
+// TestNoiseScanJobMatchesCLIBytes pins the noisescan job (whose bytes
+// cmd/noisescan prints) to a reference implementation on the library
+// API: Scan → Summary table → blank line → Curve table → blank line, at
+// the fixed Monte-Carlo condition.
 func TestNoiseScanJobMatchesCLIBytes(t *testing.T) {
 	spec := Spec{Kind: KindNoiseScan, NoiseScan: &NoiseScanSpec{CaseStudy: 5, Points: 5}}
 	got, err := Run(context.Background(), spec)
@@ -284,7 +283,7 @@ func TestNoiseScanJobMatchesCLIBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The CLI path, spelled out literally.
+	// The reference, spelled out on the library API.
 	res, err := noisescan.Scan(context.Background(), noisescan.Params{CaseStudy: 5, Points: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +298,7 @@ func TestNoiseScanJobMatchesCLIBytes(t *testing.T) {
 	}
 	fmt.Fprintln(&want)
 	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("job bytes differ from the CLI path:\n--- job ---\n%s\n--- cli ---\n%s", got, want.Bytes())
+		t.Errorf("job bytes differ from the reference:\n--- job ---\n%s\n--- reference ---\n%s", got, want.Bytes())
 	}
 	if !bytes.Contains(got, []byte("EXP-NS")) {
 		t.Errorf("implausible result:\n%s", got)

@@ -7,6 +7,7 @@
 package jobs
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,7 +27,7 @@ import (
 // Kind selects which sweep product a job computes.
 type Kind string
 
-// The five job kinds, covering the repo's sweep products.
+// The seven job kinds, covering the repo's sweep products.
 const (
 	// KindCharac is the Table II defect characterization (cmd/defectchar).
 	KindCharac Kind = "charac"
@@ -49,6 +50,62 @@ const (
 // ErrBadSpec marks submission-time validation failures (HTTP 400).
 var ErrBadSpec = errors.New("invalid job spec")
 
+// kind is one row of the kind table: everything Normalize and Run know
+// about a job kind.
+type kind struct {
+	// set reports whether the spec carries this kind's sub-spec; a spec
+	// may carry no sub-spec but its own kind's.
+	set func(Spec) bool
+	// normalize validates the kind's sub-spec and writes its canonical
+	// form into out.
+	normalize func(s Spec, out *Spec) error
+	// run computes the job's bytes from a normalized spec.
+	run func(ctx context.Context, s Spec, eng engine.Engine) ([]byte, error)
+	// engine: the kind simulates through the spec's engine, so the engine
+	// is part of its content address. Engine-blind kinds fold it to "".
+	engine bool
+	// criterion: the kind takes criterion "noise".
+	criterion bool
+}
+
+// kinds is the kind table. Every kind is known at compile time, so it is
+// one literal rather than a registry.
+var kinds = map[Kind]kind{
+	KindCharac: {
+		set:       func(s Spec) bool { return s.Charac != nil },
+		normalize: normalizeCharac, run: runCharac,
+		engine: true, criterion: true,
+	},
+	KindExp: {
+		set:       func(s Spec) bool { return s.Exp != nil },
+		normalize: normalizeExp, run: runExp,
+	},
+	KindTestFlow: {
+		set:       func(s Spec) bool { return s.TestFlow != nil },
+		normalize: normalizeTestFlow, run: runTestFlow,
+		engine: true,
+	},
+	KindDiag: {
+		set:       func(s Spec) bool { return s.Diag != nil },
+		normalize: normalizeDiag, run: runDiag,
+		engine: true,
+	},
+	KindYield: {
+		set:       func(s Spec) bool { return s.Yield != nil },
+		normalize: normalizeYield, run: runYield,
+		criterion: true,
+	},
+	KindFaultMap: {
+		set:       func(s Spec) bool { return s.FaultMap != nil },
+		normalize: normalizeFaultMap, run: runFaultMap,
+		criterion: true,
+	},
+	KindNoiseScan: {
+		set:       func(s Spec) bool { return s.NoiseScan != nil },
+		normalize: normalizeNoiseScan, run: runNoiseScan,
+	},
+}
+
 // Spec describes one characterization job. Exactly the sub-spec matching
 // Kind must be set (a nil sub-spec of the selected kind is allowed and
 // means "all defaults"). The JSON field order of this struct and its
@@ -68,7 +125,10 @@ type Spec struct {
 	// part of the content address: the standalone surrogate is
 	// approximate, so its results must never be served for an exact
 	// request (spice and tiered produce identical bytes but are keyed
-	// separately — cheap insurance over the equivalence contract).
+	// separately — cheap insurance over the equivalence contract). Kinds
+	// that never consult the engine (exp, yield, faultmap, noisescan)
+	// fold any valid engine to "", so a daemon's default engine does not
+	// split their store keys.
 	Engine   string        `json:"engine,omitempty"`
 	Charac   *CharacSpec   `json:"charac,omitempty"`
 	Exp      *ExpSpec      `json:"exp,omitempty"`
@@ -292,36 +352,17 @@ func noiseSpecOf(p engine.NoiseParams) *NoiseSpec {
 	}
 }
 
-// normalizeCriterion validates the Spec-level criterion/noise pair for
-// the given kind and returns their canonical forms.
-func normalizeCriterion(s Spec) (crit string, noise *NoiseSpec, err error) {
-	critAware := s.Kind == KindCharac || s.Kind == KindYield || s.Kind == KindFaultMap
-	switch s.Criterion {
-	case "", "static":
-		if s.Noise != nil && s.Kind != KindNoiseScan {
-			return "", nil, fmt.Errorf("%w: noise params without criterion %q", ErrBadSpec, "noise")
-		}
-	case "noise":
-		if !critAware {
-			return "", nil, fmt.Errorf("%w: kind %q does not take criterion %q", ErrBadSpec, s.Kind, s.Criterion)
-		}
-	default:
-		return "", nil, fmt.Errorf("%w: unknown criterion %q (have static, noise)", ErrBadSpec, s.Criterion)
+// normalizeNoise validates ensemble parameters and spells them as the
+// explicit canonical sub-spec (a nil spec is all defaults).
+func normalizeNoise(n *NoiseSpec) (*NoiseSpec, error) {
+	p := n.params()
+	if p.Seed == 0 {
+		p.Seed = defaultSeed
 	}
-	if s.Criterion == "noise" || s.Kind == KindNoiseScan {
-		p := s.Noise.params()
-		if p.Seed == 0 {
-			p.Seed = defaultSeed
-		}
-		if err := p.Validate(); err != nil {
-			return "", nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-		}
-		noise = noiseSpecOf(p)
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	if s.Criterion == "noise" {
-		crit = "noise"
-	}
-	return crit, noise, nil
+	return noiseSpecOf(p), nil
 }
 
 // maxRandomOps caps one job's random stream.
@@ -332,217 +373,253 @@ const maxRandomOps = 1 << 22
 // cap, comfortably past the fleet-dictionary regime).
 const maxPointsPerDecade = 2000
 
-// defaultSeed is cmd/drv's hard-coded Monte-Carlo seed.
+// defaultSeed is the fixed Monte-Carlo seed a zero seed selects.
 const defaultSeed = 2013
 
 // Normalize validates s and returns its canonical form: defaults are
 // made explicit (defect lists expanded, seed filled in) and lists are
 // sorted and deduplicated, so every spelling of the same job serializes
-// to the same bytes and lands on the same store key.
+// to the same bytes and lands on the same store key. The kind's row in
+// the kind table (kinds) decides everything kind-specific: which
+// sub-spec it owns, whether the engine and the criterion are part of
+// its content address, and how its sub-spec normalizes.
 func (s Spec) Normalize() (Spec, error) {
+	k, ok := kinds[s.Kind]
+	if !ok {
+		return Spec{}, fmt.Errorf("%w: unknown kind %q", ErrBadSpec, s.Kind)
+	}
+	for name, other := range kinds {
+		if name != s.Kind && other.set(s) {
+			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
+		}
+	}
 	out := Spec{Kind: s.Kind, CSV: s.CSV}
 	eng, err := engine.Resolve(s.Engine)
 	if err != nil {
 		return Spec{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	if n := eng.Name(); n != "spice" {
+	// An engine-blind kind folds any engine away rather than rejecting
+	// it, because a daemon's default engine is injected into every spec.
+	if n := eng.Name(); n != "spice" && k.engine {
 		out.Engine = n
 	}
-	if out.Criterion, out.Noise, err = normalizeCriterion(s); err != nil {
+	switch s.Criterion {
+	case "", "static":
+	case "noise":
+		if !k.criterion {
+			return Spec{}, fmt.Errorf("%w: kind %q does not take criterion %q", ErrBadSpec, s.Kind, s.Criterion)
+		}
+		out.Criterion = "noise"
+		if out.Noise, err = normalizeNoise(s.Noise); err != nil {
+			return Spec{}, err
+		}
+	default:
+		return Spec{}, fmt.Errorf("%w: unknown criterion %q (have static, noise)", ErrBadSpec, s.Criterion)
+	}
+	if err := k.normalize(s, &out); err != nil {
 		return Spec{}, err
 	}
-	switch s.Kind {
-	case KindCharac:
-		if s.Exp != nil || s.TestFlow != nil || s.Diag != nil || s.Yield != nil || s.FaultMap != nil || s.NoiseScan != nil {
-			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
-		}
-		c := CharacSpec{}
-		if s.Charac != nil {
-			c = *s.Charac
-		}
-		var err error
-		if c.Defects, err = normalizeDefects(c.Defects); err != nil {
-			return Spec{}, err
-		}
-		if c.CaseStudies, err = normalizeCaseStudies(c.CaseStudies); err != nil {
-			return Spec{}, err
-		}
-		out.Charac = &c
-	case KindExp:
-		if s.Charac != nil || s.TestFlow != nil || s.Diag != nil || s.Yield != nil || s.FaultMap != nil || s.NoiseScan != nil {
-			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
-		}
-		if s.Exp == nil {
-			return Spec{}, fmt.Errorf("%w: kind %q requires an exp sub-spec with samples", ErrBadSpec, s.Kind)
-		}
-		e := *s.Exp
-		if e.Samples < 1 {
-			return Spec{}, fmt.Errorf("%w: exp.samples = %d, want >= 1", ErrBadSpec, e.Samples)
-		}
-		if e.Samples > 1<<20 {
-			return Spec{}, fmt.Errorf("%w: exp.samples = %d exceeds the 1Mi cap", ErrBadSpec, e.Samples)
-		}
-		if e.Seed == 0 {
-			e.Seed = defaultSeed
-		}
-		out.Exp = &e
-	case KindTestFlow:
-		if s.Charac != nil || s.Exp != nil || s.Diag != nil || s.Yield != nil || s.FaultMap != nil || s.NoiseScan != nil {
-			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
-		}
-		f := TestFlowSpec{}
-		if s.TestFlow != nil {
-			f = *s.TestFlow
-		}
-		var err error
-		if f.Defects, err = normalizeDefects(f.Defects); err != nil {
-			return Spec{}, err
-		}
-		out.TestFlow = &f
-	case KindDiag:
-		if s.Charac != nil || s.Exp != nil || s.TestFlow != nil || s.Yield != nil || s.FaultMap != nil || s.NoiseScan != nil {
-			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
-		}
-		if s.CSV {
-			return Spec{}, fmt.Errorf("%w: kind %q emits a JSON artifact, csv does not apply", ErrBadSpec, s.Kind)
-		}
-		dg := DiagSpec{}
-		if s.Diag != nil {
-			dg = *s.Diag
-		}
-		var err error
-		if dg.Defects, err = normalizeDefects(dg.Defects); err != nil {
-			return Spec{}, err
-		}
-		if dg.CaseStudies, err = normalizeCaseStudies(dg.CaseStudies); err != nil {
-			return Spec{}, err
-		}
-		if dg.Decades, err = normalizeDecades(dg.Decades); err != nil {
-			return Spec{}, err
-		}
-		if dg.PointsPerDecade < 0 || dg.PointsPerDecade > maxPointsPerDecade {
-			return Spec{}, fmt.Errorf("%w: diag.pointsPerDecade = %d, want 0..%d", ErrBadSpec, dg.PointsPerDecade, maxPointsPerDecade)
-		}
-		if dg.PointsPerDecade == 1 {
-			// One point per decade is the plain grid; share its key.
-			dg.PointsPerDecade = 0
-		}
-		if dg.PointsPerDecade > 1 && len(dg.Decades) < 2 {
-			return Spec{}, fmt.Errorf("%w: diag.pointsPerDecade needs >= 2 decades, have %d", ErrBadSpec, len(dg.Decades))
-		}
-		out.Diag = &dg
-	case KindYield:
-		if s.Charac != nil || s.Exp != nil || s.TestFlow != nil || s.Diag != nil || s.FaultMap != nil || s.NoiseScan != nil {
-			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
-		}
-		if s.Yield == nil {
-			return Spec{}, fmt.Errorf("%w: kind %q requires a yield sub-spec with samples", ErrBadSpec, s.Kind)
-		}
-		y := *s.Yield
-		if y.Samples < 1 {
-			return Spec{}, fmt.Errorf("%w: yield.samples = %d, want >= 1", ErrBadSpec, y.Samples)
-		}
-		if y.Samples > yield.MaxSamples {
-			return Spec{}, fmt.Errorf("%w: yield.samples = %d exceeds the %d cap", ErrBadSpec, y.Samples, yield.MaxSamples)
-		}
-		if y.Seed == 0 {
-			y.Seed = defaultSeed
-		}
-		if y.Vref < 0 {
-			return Spec{}, fmt.Errorf("%w: yield.vref = %g, want >= 0", ErrBadSpec, y.Vref)
-		}
-		if y.Vref == 0 {
-			y.Vref = yield.DefaultVref
-		}
-		if _, err := yield.New(y.Method); err != nil {
-			return Spec{}, fmt.Errorf("%w: yield.method %q (have %v)", ErrBadSpec, y.Method, yield.Methods())
-		}
-		if y.Method == "" {
-			y.Method = yield.MethodIS
-		}
-		if err := normalizeShard(s.Kind, &y.Shards, &y.Shard, s.CSV); err != nil {
-			return Spec{}, err
-		}
-		out.Yield = &y
-	case KindFaultMap:
-		if s.Charac != nil || s.Exp != nil || s.TestFlow != nil || s.Diag != nil || s.Yield != nil || s.NoiseScan != nil {
-			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
-		}
-		fm := FaultMapSpec{}
-		if s.FaultMap != nil {
-			fm = *s.FaultMap
-		}
-		if fm.Maps < 0 {
-			return Spec{}, fmt.Errorf("%w: faultmap.maps = %d, want >= 0", ErrBadSpec, fm.Maps)
-		}
-		if fm.Maps == 0 {
-			fm.Maps = faultmap.DefaultMaps
-		}
-		if fm.Maps > faultmap.MaxMaps {
-			return Spec{}, fmt.Errorf("%w: faultmap.maps = %d exceeds the %d cap", ErrBadSpec, fm.Maps, faultmap.MaxMaps)
-		}
-		if fm.Seed == 0 {
-			fm.Seed = defaultSeed
-		}
-		if fm.Vref < 0 {
-			return Spec{}, fmt.Errorf("%w: faultmap.vref = %g, want >= 0", ErrBadSpec, fm.Vref)
-		}
-		if fm.Vref == 0 {
-			fm.Vref = faultmap.DefaultVref
-		}
-		if fm.Defect < 0 {
-			return Spec{}, fmt.Errorf("%w: faultmap.defect = %g, want >= 0", ErrBadSpec, fm.Defect)
-		}
-		if fm.Defect == 0 {
-			fm.Defect = faultmap.DefaultDefect
-		}
-		if fm.Tests, err = normalizeMarchTests(fm.Tests); err != nil {
-			return Spec{}, err
-		}
-		if fm.RandomOps < 0 || fm.RandomOps > maxRandomOps {
-			return Spec{}, fmt.Errorf("%w: faultmap.randomOps = %d not in [0, %d]", ErrBadSpec, fm.RandomOps, maxRandomOps)
-		}
-		if err := normalizeShard(s.Kind, &fm.Shards, &fm.Shard, s.CSV); err != nil {
-			return Spec{}, err
-		}
-		out.FaultMap = &fm
-	case KindNoiseScan:
-		if s.Charac != nil || s.Exp != nil || s.TestFlow != nil || s.Diag != nil || s.Yield != nil || s.FaultMap != nil {
-			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
-		}
-		ns := NoiseScanSpec{}
-		if s.NoiseScan != nil {
-			ns = *s.NoiseScan
-		}
-		if ns.CaseStudy == 0 {
-			ns.CaseStudy = noisescan.DefaultCaseStudy
-		}
-		if ns.CaseStudy < 1 || ns.CaseStudy > 5 {
-			return Spec{}, fmt.Errorf("%w: noisescan.caseStudy = %d, want 1..5", ErrBadSpec, ns.CaseStudy)
-		}
-		if ns.Points == 0 {
-			ns.Points = noisescan.DefaultPoints
-		}
-		if ns.Points < 2 || ns.Points > noisescan.MaxPoints {
-			return Spec{}, fmt.Errorf("%w: noisescan.points = %d, want 2..%d", ErrBadSpec, ns.Points, noisescan.MaxPoints)
-		}
-		if ns.Below == 0 {
-			ns.Below = noisescan.DefaultBelow
-		}
-		if ns.Above == 0 {
-			ns.Above = noisescan.DefaultAbove
-		}
-		if ns.Below < 0 || ns.Above < 0 {
-			return Spec{}, fmt.Errorf("%w: noisescan range −%g/+%g V, want >= 0", ErrBadSpec, ns.Below, ns.Above)
-		}
-		if err := normalizeShard(s.Kind, &ns.Shards, &ns.Shard, s.CSV); err != nil {
-			return Spec{}, err
-		}
-		out.NoiseScan = &ns
-	default:
-		return Spec{}, fmt.Errorf("%w: unknown kind %q", ErrBadSpec, s.Kind)
+	// Only the noise criterion and an inherently noisy kind consume
+	// ensemble parameters.
+	if s.Noise != nil && out.Noise == nil {
+		return Spec{}, fmt.Errorf("%w: noise params without criterion %q", ErrBadSpec, "noise")
 	}
 	return out, nil
+}
+
+func normalizeCharac(s Spec, out *Spec) error {
+	c := CharacSpec{}
+	if s.Charac != nil {
+		c = *s.Charac
+	}
+	var err error
+	if c.Defects, err = normalizeDefects(c.Defects); err != nil {
+		return err
+	}
+	if c.CaseStudies, err = normalizeCaseStudies(c.CaseStudies); err != nil {
+		return err
+	}
+	out.Charac = &c
+	return nil
+}
+
+func normalizeExp(s Spec, out *Spec) error {
+	if s.Exp == nil {
+		return fmt.Errorf("%w: kind %q requires an exp sub-spec with samples", ErrBadSpec, s.Kind)
+	}
+	e := *s.Exp
+	if e.Samples < 1 {
+		return fmt.Errorf("%w: exp.samples = %d, want >= 1", ErrBadSpec, e.Samples)
+	}
+	if e.Samples > 1<<20 {
+		return fmt.Errorf("%w: exp.samples = %d exceeds the 1Mi cap", ErrBadSpec, e.Samples)
+	}
+	if e.Seed == 0 {
+		e.Seed = defaultSeed
+	}
+	out.Exp = &e
+	return nil
+}
+
+func normalizeTestFlow(s Spec, out *Spec) error {
+	f := TestFlowSpec{}
+	if s.TestFlow != nil {
+		f = *s.TestFlow
+	}
+	var err error
+	if f.Defects, err = normalizeDefects(f.Defects); err != nil {
+		return err
+	}
+	out.TestFlow = &f
+	return nil
+}
+
+func normalizeDiag(s Spec, out *Spec) error {
+	if s.CSV {
+		return fmt.Errorf("%w: kind %q emits a JSON artifact, csv does not apply", ErrBadSpec, s.Kind)
+	}
+	dg := DiagSpec{}
+	if s.Diag != nil {
+		dg = *s.Diag
+	}
+	var err error
+	if dg.Defects, err = normalizeDefects(dg.Defects); err != nil {
+		return err
+	}
+	if dg.CaseStudies, err = normalizeCaseStudies(dg.CaseStudies); err != nil {
+		return err
+	}
+	if dg.Decades, err = normalizeDecades(dg.Decades); err != nil {
+		return err
+	}
+	if dg.PointsPerDecade < 0 || dg.PointsPerDecade > maxPointsPerDecade {
+		return fmt.Errorf("%w: diag.pointsPerDecade = %d, want 0..%d", ErrBadSpec, dg.PointsPerDecade, maxPointsPerDecade)
+	}
+	if dg.PointsPerDecade == 1 {
+		// One point per decade is the plain grid; share its key.
+		dg.PointsPerDecade = 0
+	}
+	if dg.PointsPerDecade > 1 && len(dg.Decades) < 2 {
+		return fmt.Errorf("%w: diag.pointsPerDecade needs >= 2 decades, have %d", ErrBadSpec, len(dg.Decades))
+	}
+	out.Diag = &dg
+	return nil
+}
+
+func normalizeYield(s Spec, out *Spec) error {
+	if s.Yield == nil {
+		return fmt.Errorf("%w: kind %q requires a yield sub-spec with samples", ErrBadSpec, s.Kind)
+	}
+	y := *s.Yield
+	if y.Samples < 1 {
+		return fmt.Errorf("%w: yield.samples = %d, want >= 1", ErrBadSpec, y.Samples)
+	}
+	if y.Samples > yield.MaxSamples {
+		return fmt.Errorf("%w: yield.samples = %d exceeds the %d cap", ErrBadSpec, y.Samples, yield.MaxSamples)
+	}
+	if y.Seed == 0 {
+		y.Seed = defaultSeed
+	}
+	if y.Vref < 0 {
+		return fmt.Errorf("%w: yield.vref = %g, want >= 0", ErrBadSpec, y.Vref)
+	}
+	if y.Vref == 0 {
+		y.Vref = yield.DefaultVref
+	}
+	if _, err := yield.New(y.Method); err != nil {
+		return fmt.Errorf("%w: yield.method %q (have %v)", ErrBadSpec, y.Method, yield.Methods())
+	}
+	if y.Method == "" {
+		y.Method = yield.MethodIS
+	}
+	if err := normalizeShard(s.Kind, &y.Shards, &y.Shard, s.CSV); err != nil {
+		return err
+	}
+	out.Yield = &y
+	return nil
+}
+
+func normalizeFaultMap(s Spec, out *Spec) error {
+	fm := FaultMapSpec{}
+	if s.FaultMap != nil {
+		fm = *s.FaultMap
+	}
+	if fm.Maps < 0 {
+		return fmt.Errorf("%w: faultmap.maps = %d, want >= 0", ErrBadSpec, fm.Maps)
+	}
+	if fm.Maps == 0 {
+		fm.Maps = faultmap.DefaultMaps
+	}
+	if fm.Maps > faultmap.MaxMaps {
+		return fmt.Errorf("%w: faultmap.maps = %d exceeds the %d cap", ErrBadSpec, fm.Maps, faultmap.MaxMaps)
+	}
+	if fm.Seed == 0 {
+		fm.Seed = defaultSeed
+	}
+	if fm.Vref < 0 {
+		return fmt.Errorf("%w: faultmap.vref = %g, want >= 0", ErrBadSpec, fm.Vref)
+	}
+	if fm.Vref == 0 {
+		fm.Vref = faultmap.DefaultVref
+	}
+	if fm.Defect < 0 {
+		return fmt.Errorf("%w: faultmap.defect = %g, want >= 0", ErrBadSpec, fm.Defect)
+	}
+	if fm.Defect == 0 {
+		fm.Defect = faultmap.DefaultDefect
+	}
+	var err error
+	if fm.Tests, err = normalizeMarchTests(fm.Tests); err != nil {
+		return err
+	}
+	if fm.RandomOps < 0 || fm.RandomOps > maxRandomOps {
+		return fmt.Errorf("%w: faultmap.randomOps = %d not in [0, %d]", ErrBadSpec, fm.RandomOps, maxRandomOps)
+	}
+	if err := normalizeShard(s.Kind, &fm.Shards, &fm.Shard, s.CSV); err != nil {
+		return err
+	}
+	out.FaultMap = &fm
+	return nil
+}
+
+// normalizeNoiseScan also canonicalizes the Spec-level ensemble
+// parameters: the scan is inherently noisy, so it takes them without
+// the noise criterion.
+func normalizeNoiseScan(s Spec, out *Spec) error {
+	ns := NoiseScanSpec{}
+	if s.NoiseScan != nil {
+		ns = *s.NoiseScan
+	}
+	if ns.CaseStudy == 0 {
+		ns.CaseStudy = noisescan.DefaultCaseStudy
+	}
+	if ns.CaseStudy < 1 || ns.CaseStudy > 5 {
+		return fmt.Errorf("%w: noisescan.caseStudy = %d, want 1..5", ErrBadSpec, ns.CaseStudy)
+	}
+	if ns.Points == 0 {
+		ns.Points = noisescan.DefaultPoints
+	}
+	if ns.Points < 2 || ns.Points > noisescan.MaxPoints {
+		return fmt.Errorf("%w: noisescan.points = %d, want 2..%d", ErrBadSpec, ns.Points, noisescan.MaxPoints)
+	}
+	if ns.Below == 0 {
+		ns.Below = noisescan.DefaultBelow
+	}
+	if ns.Above == 0 {
+		ns.Above = noisescan.DefaultAbove
+	}
+	if ns.Below < 0 || ns.Above < 0 {
+		return fmt.Errorf("%w: noisescan range −%g/+%g V, want >= 0", ErrBadSpec, ns.Below, ns.Above)
+	}
+	if err := normalizeShard(s.Kind, &ns.Shards, &ns.Shard, s.CSV); err != nil {
+		return err
+	}
+	var err error
+	if out.Noise, err = normalizeNoise(s.Noise); err != nil {
+		return err
+	}
+	out.NoiseScan = &ns
+	return nil
 }
 
 // normalizeShard folds a whole-run shard selector (shards <= 1) to the

@@ -4,7 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"strconv"
 	"testing"
 )
 
@@ -357,4 +361,108 @@ func TestDiagSpecsShareKeys(t *testing.T) {
 	if kc, _ := c.Key(); kc == ka {
 		t.Error("base-only dictionaries must not share the full build's key")
 	}
+}
+
+// kindCases holds, per declared kind, a valid minimal spec and a setter
+// that attaches the kind's (zero) sub-spec to another spec.
+var kindCases = []struct {
+	kind   Kind
+	valid  Spec
+	attach func(*Spec)
+}{
+	{KindCharac, Spec{Kind: KindCharac}, func(s *Spec) { s.Charac = &CharacSpec{} }},
+	{KindExp, Spec{Kind: KindExp, Exp: &ExpSpec{Samples: 1}}, func(s *Spec) { s.Exp = &ExpSpec{} }},
+	{KindTestFlow, Spec{Kind: KindTestFlow}, func(s *Spec) { s.TestFlow = &TestFlowSpec{} }},
+	{KindDiag, Spec{Kind: KindDiag}, func(s *Spec) { s.Diag = &DiagSpec{} }},
+	{KindYield, Spec{Kind: KindYield, Yield: &YieldSpec{Samples: 1}}, func(s *Spec) { s.Yield = &YieldSpec{} }},
+	{KindFaultMap, Spec{Kind: KindFaultMap}, func(s *Spec) { s.FaultMap = &FaultMapSpec{} }},
+	{KindNoiseScan, Spec{Kind: KindNoiseScan}, func(s *Spec) { s.NoiseScan = &NoiseScanSpec{} }},
+}
+
+// TestKindTable checks the kind table row by row: every declared kind
+// has a row, a foreign sub-spec is always rejected, criterion "noise" is
+// accepted exactly on the criterion-aware kinds and the engine is kept
+// exactly on the kinds that simulate through it.
+func TestKindTable(t *testing.T) {
+	declared := declaredKinds(t)
+	if len(declared) != len(kindCases) || len(kinds) != len(kindCases) {
+		t.Errorf("%d kinds declared, %d in the kind table, %d covered here", len(declared), len(kinds), len(kindCases))
+	}
+	for _, k := range declared {
+		if _, ok := kinds[k]; !ok {
+			t.Errorf("declared kind %q has no row in the kind table", k)
+		}
+	}
+	takesNoise := map[Kind]bool{KindCharac: true, KindYield: true, KindFaultMap: true}
+	keepsEngine := map[Kind]bool{KindCharac: true, KindTestFlow: true, KindDiag: true}
+	foreign := 0
+	for _, c := range kindCases {
+		if _, err := c.valid.Normalize(); err != nil {
+			t.Fatalf("%s: valid spec rejected: %v", c.kind, err)
+		}
+		for _, o := range kindCases {
+			if o.kind == c.kind {
+				continue
+			}
+			s := c.valid
+			o.attach(&s)
+			if _, err := s.Normalize(); !errors.Is(err, ErrBadSpec) {
+				t.Errorf("%s with a %s sub-spec: err = %v, want ErrBadSpec", c.kind, o.kind, err)
+			}
+			foreign++
+		}
+
+		s := c.valid
+		s.Criterion = "noise"
+		if _, err := s.Normalize(); (err == nil) != takesNoise[c.kind] {
+			t.Errorf("%s with criterion noise: err = %v, want accepted = %v", c.kind, err, takesNoise[c.kind])
+		}
+
+		s = c.valid
+		s.Engine = "tiered"
+		n, err := s.Normalize()
+		if err != nil {
+			t.Fatalf("%s with engine tiered: %v", c.kind, err)
+		}
+		if (n.Engine != "") != keepsEngine[c.kind] {
+			t.Errorf("%s with engine tiered normalized to engine %q, want kept = %v", c.kind, n.Engine, keepsEngine[c.kind])
+		}
+		s.Engine = "nosuch"
+		if _, err := s.Normalize(); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%s with an unknown engine: err = %v, want ErrBadSpec", c.kind, err)
+		}
+	}
+	if foreign != 42 {
+		t.Errorf("checked %d (kind, foreign sub-spec) pairs, want 42", foreign)
+	}
+}
+
+// declaredKinds lists the Kind constants declared in spec.go.
+func declaredKinds(t *testing.T) []Kind {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "spec.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Kind
+	for _, d := range f.Decls {
+		g, ok := d.(*ast.GenDecl)
+		if !ok || g.Tok != token.CONST {
+			continue
+		}
+		for _, sp := range g.Specs {
+			v := sp.(*ast.ValueSpec)
+			if id, ok := v.Type.(*ast.Ident); !ok || id.Name != "Kind" {
+				continue
+			}
+			for _, val := range v.Values {
+				name, err := strconv.Unquote(val.(*ast.BasicLit).Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, Kind(name))
+			}
+		}
+	}
+	return out
 }

@@ -2,7 +2,7 @@ package sweep
 
 // ChunkSeed derives the RNG seed of one sampling chunk from a master
 // seed. It is the sharded-RNG convention shared by every seeded
-// workload: exp.MonteCarlo, internal/yield (sample chunks and the
+// workload: exp.MonteCarloCtx, internal/yield (sample chunks and the
 // screen calibration), internal/faultmap (one stream per map plus the
 // DRV calibration block) and the noise ensembles of
 // engine.NoiseCriterion and internal/noisescan (spice.NoiseSource

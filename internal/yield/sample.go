@@ -11,7 +11,7 @@ import (
 // The variation law of the yield estimators: each of the six ΔVth
 // components is an independent standard normal conditioned to [−6σ,
 // +6σ] — the same ±6σ support the paper's deterministic worst case
-// spans. (exp.MonteCarlo clamps instead of conditioning; the two laws
+// spans. (exp.MonteCarloCtx clamps instead of conditioning; the two laws
 // differ only by ~1e-8 of probability mass parked exactly on the
 // support faces, but conditioning keeps every likelihood ratio finite
 // and well-defined, which clamping's point masses would not.)

@@ -87,7 +87,7 @@ type Model interface {
 }
 
 // CellModel is the exact production model: the cell-level DRV bisection
-// used by every characterization layer. Like exp.MonteCarlo it bypasses
+// used by every characterization layer. Like exp.MonteCarloCtx it bypasses
 // the engine.CachedDRV1 memo — yield estimates visit millions of
 // distinct variations, and memoizing them would only grow the heap.
 type CellModel struct{}
